@@ -9,36 +9,43 @@ potentials are
                         + (1 + cosh^{-2} t) / 4,
     cusp:    V_ell(t) = e^{2t} (ell - a(t))^2 / L^2 + 1/4,
 
-with a = gauge_function.  Both contain the curvature term, so no mode
-eigenvalue lies below 1/4.
+with a = gauge_function.  Both have the form (ell - a)^2 w + q with the
+same a, w and q for every mode, and both contain the curvature term, so
+no mode eigenvalue lies below 1/4.
 
-For an unbounded field every threshold is crossed by only finitely many
-modes: a mode binds near its turning region a(t) = ell, where the local
-well has harmonic frequency |b~|, so its ground level is roughly
-1/4 + |b~| there and runs away with the field.  Counting therefore scans
-modes outward from the gauge value at the weakest point of the field and
-stops a direction after three consecutive modes are certified empty.
+count_end counts an end in two steps on the interval [t0, t_max], whose
+right wall sits where the field intensity stays above 4*lambda.
 
-A mode is certified empty without solving it when its classically
-allowed territory either lies entirely where |b~| >= 4*lambda (the same
-intensity bound that truncates the grid) or consists of a thin crossing
-sliver whose harmonic ground level 1/4 + |b~| exceeds lambda and whose
-phase-space content is well under one state.  Everything else is counted
-strictly by count_stable on the hull of its allowed territory; the hull,
-not a local window around one well, because a single mode can bind both
-at its gauge crossing and against the Dirichlet wall at the end boundary.
+The mode window.  With W = (ell - a) sqrt(w), V_ell = W^2 + q, and for
+s = +-1 and theta in [0, 1] integration by parts gives the magnetic lower
+bound (Avron, Herbst & Simon, Duke Math. J. 45, 1978)
+
+    H_ell >= q + s theta W' + (1 - theta) W^2,
+    W' = b~ + (ell - a) (sqrt w)'.
+
+At each t the bound is a quadratic in ell - a(t), so the modes it leaves
+below lambda there form one interval.  A mode whose bound stays >= lambda
+on the whole interval, for one (theta, s), has no eigenvalue below
+lambda; the window is the set of modes no such pair certifies empty,
+read off a grid of the interval.
+
+The sweep.  sturm1d.mode_counts runs one LDL^T pivot recurrence down a
+shared Dirichlet grid for every mode of the window at once.  The grid is
+doubled until each mode's count has been equal on three successive
+grids; a settled mode leaves the batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .model import (BoundedFieldError, CuspEnd, DomainError, FunnelEnd,
                     eval_field, gauge_function)
-from .sturm1d import CountOptions, CountResult, count_stable
+from .sturm1d import CountResult, mode_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,76 +118,26 @@ def funnel_limit_potential(beta: float) -> ModePotential:
 
 @dataclass(frozen=True)
 class EndOptions:
-    """Controls for the mode scan of a single end."""
+    """Controls for the mode sweep of a single end.
+
+    grid_n fixes the interior points of the first shared grid, which is
+    otherwise points_per_wavelength points per shortest local wavelength
+    2 pi / sqrt(lambda), and at least n0_min.  t_max fixes the right
+    Dirichlet wall.  A window of more than max_modes modes is not swept,
+    and a mode still unsettled after max_refinements grids is reported
+    with converged=False.
+    """
 
     grid_n: int | None = None
     t_max: float | None = None
     n0_min: int = 48
-    points_per_wavelength: float = 8.0
-    prune_s: float = 0.4
-    miss_run: int = 3
+    # three equal counts are trusted only once the O(h^2) downward bias of
+    # the 3-point scheme is below the distance of the nearest eigenvalue
+    # to lambda; with 36 the cusp [0, 1] still counts 777 at lambda 1600,
+    # one above the dense count
+    points_per_wavelength: float = 72.0
     max_modes: int = 200000
     max_refinements: int = 8
-
-
-class _ScanContext:
-    """Shared safeguard grid for one (end, lambda) mode scan."""
-
-    def __init__(self, end, lam: float, opts: EndOptions):
-        self.end = end
-        self.lam = float(lam)
-        self.opts = opts
-        t0 = end.t0
-        t_max = opts.t_max if opts.t_max is not None else _auto_t_max(end, lam)
-        if not (t_max > t0):
-            raise ValueError(f"t_max={t_max} must exceed t0={t0}")
-        if opts.grid_n is not None:
-            n = int(opts.grid_n)
-        else:
-            h_target = min(0.02, 0.088 / math.sqrt(max(lam, 1.0)))
-            n = int(min(max((t_max - t0) / h_target, 2048), 120000))
-        self.t = np.linspace(t0, t_max, n)
-        self.h = float(self.t[1] - self.t[0])
-        self.a = np.asarray(gauge_function(end, self.t), dtype=float)
-        babs = np.abs(np.asarray(eval_field(end, self.t), dtype=float))
-        if isinstance(end, FunnelEnd):
-            sech2 = 1.0 / np.cosh(self.t) ** 2
-            self.w = sech2 / (end.tau * end.tau)
-            self.q = 0.25 * (1.0 + sech2)
-        else:
-            self.w = np.exp(2.0 * self.t) / (end.L * end.L)
-            self.q = np.full_like(self.t, 0.25)
-        # crude per-point ground-level estimate: curvature floor plus the
-        # harmonic frequency of a well turning there
-        self.floor_est = self.q + babs
-        self.i_star = int(np.argmin(self.floor_est))
-        self.ell0 = int(round(float(self.a[self.i_star])))
-        # territory where a well can still bind below lambda; allowed
-        # samples outside belong to wells whose ground level is already
-        # >= 4*lambda, the same bound that truncates the grid
-        self.core = babs < 4.0 * self.lam
-        forb = 8.0 / math.sqrt(max(lam, 1.0))
-        self.barrier_run = max(2, int(math.ceil(forb / self.h)) + 1)
-
-    def mode_values(self, ell: float) -> np.ndarray:
-        d = ell - self.a
-        return d * d * self.w + self.q
-
-    def left_cut(self, v: np.ndarray, i_first: int) -> int:
-        """Left truncation index for a hull starting at i_first.
-
-        Everything left of i_first is classically forbidden; the cut is
-        safe once a full barrier_run of samples >= 2*lambda separates it
-        from the allowed region, so take the start of the rightmost such
-        run.  Falls back to the physical wall at index 0.
-        """
-        R = self.barrier_run
-        if i_first <= R:
-            return 0
-        spoil = (v[:i_first] < 2.0 * self.lam).astype(np.int64)
-        c = np.concatenate(([0], np.cumsum(spoil)))
-        full = np.nonzero(c[R:] - c[:-R] == 0)[0]
-        return int(full[-1]) if full.size else 0
 
 
 def _auto_t_max(end, lam: float) -> float:
@@ -197,57 +154,132 @@ def _auto_t_max(end, lam: float) -> float:
         f"field intensity does not reach {target} within the search range")
 
 
-def _mode_potential(end, ell: int) -> ModePotential:
+def _coefficients(end, t):
+    """(a, w, q) of the mode potentials (ell - a)^2 w + q at t."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(gauge_function(end, t), dtype=float)
     if isinstance(end, FunnelEnd):
-        return funnel_mode_potential(end, ell)
-    return cusp_mode_potential(end, ell)
+        sech2 = 1.0 / np.cosh(t) ** 2
+        return a, sech2 / (end.tau * end.tau), 0.25 * (1.0 + sech2)
+    return a, np.exp(2.0 * t) / (end.L * end.L), np.full_like(t, 0.25)
 
 
-def _count_mode(ctx: _ScanContext, ell: int) -> CountResult | None:
-    """Strict count for one mode, or None when it is certified empty.
+def _shared_grid(end, lam: float, opts: EndOptions) -> tuple[float, int]:
+    """Right wall and interior point count of the first shared grid."""
+    t0 = float(end.t0)
+    t_max = float(opts.t_max) if opts.t_max is not None else _auto_t_max(end, lam)
+    if not (t_max > t0):
+        raise ValueError(f"t_max={t_max} must exceed t0={t0}")
+    if opts.grid_n is not None:
+        return t_max, int(opts.grid_n)
+    per_unit = math.sqrt(lam) * opts.points_per_wavelength / (2.0 * math.pi)
+    return t_max, max(int(opts.n0_min), int((t_max - t0) * per_unit) + 1)
 
-    Empty certificates: no allowed sample inside the core (all territory
-    sits where the intensity bound already pushes levels above lambda),
-    or a sliver whose harmonic floor exceeds lambda while holding well
-    under half a semiclassical state.  The soft wells that break the
-    harmonic estimate always come with large territory, so they fail the
-    content test and fall through to strict counting.
+
+# the lower-bound certificates (theta, s): theta = 0 is the potential
+# itself, H_ell >= V_ell; then each theta with s = +1 and s = -1
+_THETAS = (0.3, 0.5, 0.7, 0.85, 0.95)
+_THETA = np.array((0.0,) + _THETAS + _THETAS)[:, None]
+_SIGN = np.array((1.0,) * (1 + len(_THETAS)) + (-1.0,) * len(_THETAS))[:, None]
+# grid samples per evaluation of the bound
+_WINDOW_ROWS = 1024
+
+
+def _bound_intervals(end, t, lam: float):
+    """Open intervals (lo, hi) of ell where a bound is below lam at t.
+
+    Rows are the certificates (_THETA, _SIGN), columns the samples t; a
+    sample where the bound is >= lam for every ell has lo = +inf and
+    hi = -inf.
     """
-    lam = ctx.lam
-    v = ctx.mode_values(ell)
-    idx = np.nonzero((v <= lam) & ctx.core)[0]
-    if idx.size == 0:
-        return None
-    i_lo = ctx.left_cut(v, int(idx[0]))
-    i_hi = min(int(idx[-1]) + ctx.barrier_run, ctx.t.size - 1)
-    hull = slice(i_lo, i_hi + 1)
-    if float(np.min(ctx.floor_est[hull])) > lam:
-        content = ctx.h / math.pi * float(
-            np.sum(np.sqrt(np.clip(lam - v[hull], 0.0, None))))
-        if content < ctx.opts.prune_s:
-            return None
-    t_lo = float(ctx.t[i_lo])
-    t_hi = float(ctx.t[i_hi])
-    width = max(t_hi - t_lo, ctx.h)
-    n0 = max(ctx.opts.n0_min,
-             int(width * math.sqrt(2.0 * lam) * ctx.opts.points_per_wavelength
-                 / (2.0 * math.pi)) + 1)
-    opts = CountOptions(n0=n0, t_hi0=t_hi, max_refinements=ctx.opts.max_refinements)
-    return count_stable(_mode_potential(ctx.end, ell), t_lo, lam, opts)
+    a, w, q = _coefficients(end, t)
+    b = np.asarray(eval_field(end, t), dtype=float)
+    # (sqrt w)': -sech t tanh t / tau on funnels, e^t / L on cusps
+    sw = np.sqrt(w)
+    dsw = -sw * np.tanh(t) if isinstance(end, FunnelEnd) else sw
+    # (1 - theta) w x^2 + s theta (sqrt w)' x + q + s theta b~ - lam < 0,
+    # with x = ell - a
+    qa = (1.0 - _THETA) * w
+    qb = _SIGN * _THETA * dsw
+    qc = q + _SIGN * _THETA * b - lam
+    disc = qb * qb - 4.0 * qa * qc
+    root = np.sqrt(np.where(disc > 0.0, disc, 0.0))
+    lo = np.where(disc > 0.0, a + (-qb - root) / (2.0 * qa), np.inf)
+    hi = np.where(disc > 0.0, a + (-qb + root) / (2.0 * qa), -np.inf)
+    return lo, hi
+
+
+def _window_chunks(end, t_hi: float, n: int, lam: float):
+    """_bound_intervals on the n + 2 grid points of [t0, t_hi], in chunks.
+
+    Each interval is widened to the hull of its own and its right
+    neighbour's, so that a mode uncovered only between two samples is
+    still kept.
+    """
+    t0 = float(end.t0)
+    h = (t_hi - t0) / (n + 1)
+    for i in range(0, n + 1, _WINDOW_ROWS):
+        j = min(i + _WINDOW_ROWS, n + 1)
+        lo, hi = _bound_intervals(end, t0 + h * np.arange(i, j + 1), lam)
+        yield (np.minimum(lo[:, :-1], lo[:, 1:]),
+               np.maximum(hi[:, :-1], hi[:, 1:]))
+
+
+def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
+    """Sorted modes that no certificate shows empty on [t0, t_max]."""
+    # first pass: the hull of each certificate's uncovered modes
+    ell_lo = np.full(_THETA.shape[0], np.inf)
+    ell_hi = np.full(_THETA.shape[0], -np.inf)
+    for lo, hi in _window_chunks(end, t_max, n, lam):
+        ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
+        ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
+    base = math.ceil(float(np.max(ell_lo)))
+    top = math.floor(float(np.min(ell_hi)))
+    if top < base:
+        return np.empty(0, dtype=np.int64)
+    # second pass: per certificate, a difference array over base..top + 1
+    size = top - base + 2
+    marks = np.zeros((_THETA.shape[0], size), dtype=np.int32)
+    for lo, hi in _window_chunks(end, t_max, n, lam):
+        first = np.ceil(np.clip(lo, base, top + 1)).astype(np.int64) - base
+        last = np.floor(np.clip(hi, base - 1, top)).astype(np.int64) - base
+        for row, (f, l) in enumerate(zip(first, last)):
+            keep = l >= f
+            marks[row] += np.bincount(f[keep], minlength=size).astype(np.int32)
+            marks[row] -= np.bincount(l[keep] + 1, minlength=size).astype(np.int32)
+    np.cumsum(marks, axis=1, out=marks)
+    return base + np.nonzero(np.all(marks[:, :-1] > 0, axis=0))[0]
+
+
+def mode_window(end, lam: float, opts: EndOptions | None = None) -> np.ndarray:
+    """Modes count_end sweeps: those no magnetic lower bound certifies empty.
+
+    Every mode outside the returned sorted array has, for some theta and
+    s, q + s theta W' + (1 - theta) W^2 >= lambda on every sample of
+    [t0, t_max] (see the module docstring), so no eigenvalue below lam.
+    """
+    opts = opts or EndOptions()
+    lam = float(lam)
+    if lam <= 0.25:
+        return np.empty(0, dtype=np.int64)
+    t_max, n = _shared_grid(end, lam, opts)
+    return _window(end, lam, t_max, n)
 
 
 @dataclass(frozen=True)
 class _ScanResult:
-    results: dict
+    ells: np.ndarray
+    counts: np.ndarray
+    n: int
+    t_hi: float
     converged: bool
-    truncated: bool
 
     @property
     def mode_range(self) -> tuple[int, int] | None:
-        live = [ell for ell, r in self.results.items() if r.count > 0]
-        if not live:
+        live = self.ells[self.counts > 0]
+        if live.size == 0:
             return None
-        return (min(live), max(live))
+        return (int(live[0]), int(live[-1]))
 
 
 def _scan_modes(end, lam: float, opts: EndOptions | None = None) -> _ScanResult:
@@ -257,52 +289,51 @@ def _scan_modes(end, lam: float, opts: EndOptions | None = None) -> _ScanResult:
             "constant field: the essential spectrum reaches lambda and the "
             "mode sum diverges")
     lam = float(lam)
+    none = np.empty(0, dtype=np.int64)
     if lam <= 0.25:
-        return _ScanResult(results={}, converged=True, truncated=False)
-    ctx = _ScanContext(end, lam, opts)
-    results: dict[int, CountResult] = {}
-    visited = 0
-    truncated = False
-    for step in (1, -1):
-        ell = ctx.ell0 if step == 1 else ctx.ell0 - 1
-        run = 0
-        while run < opts.miss_run:
-            if visited >= opts.max_modes:
-                truncated = True
-                break
-            visited += 1
-            res = _count_mode(ctx, ell)
-            if res is None:
-                run += 1
-            else:
-                results[ell] = res
-                run = 0
-            ell += step
-        if truncated:
+        return _ScanResult(none, none, n=0, t_hi=float(end.t0), converged=True)
+    t_max, n = _shared_grid(end, lam, opts)
+    ells = _window(end, lam, t_max, n)
+    if ells.size > opts.max_modes:
+        return _ScanResult(none, none, n=n, t_hi=t_max, converged=False)
+    coeffs = partial(_coefficients, end)
+    counts = np.zeros(ells.size, dtype=np.int64)
+    runs = np.zeros(ells.size, dtype=np.int64)
+    active = np.arange(ells.size)
+    for sweep in range(max(1, opts.max_refinements)):
+        if sweep:
+            n *= 2
+        c = mode_counts(coeffs, float(end.t0), t_max, n, ells[active], lam)
+        runs[active] = np.where(c == counts[active], runs[active] + 1, 1)
+        counts[active] = c
+        active = active[runs[active] < 3]
+        if active.size == 0:
             break
-    converged = (not truncated) and all(r.converged for r in results.values())
-    return _ScanResult(results=results, converged=converged, truncated=truncated)
+    return _ScanResult(ells, counts, n=n, t_hi=t_max,
+                       converged=active.size == 0)
 
 
 def mode_range(end, lam: float, opts: EndOptions | None = None) -> tuple[int, int] | None:
-    """Interval of modes that can contribute eigenvalues below lam.
+    """Smallest interval holding every mode with an eigenvalue below lam.
 
-    Modes outside the interval were certified not to contribute: their
-    sampled potential never dips below lam where the field intensity
-    leaves room for a level under lam, or their hull holds well under one
-    semiclassical state with its harmonic floor above lam, or their
-    stabilized count is zero.  Returns None when no mode contributes
-    (in particular for lam <= 1/4, below the universal potential floor).
+    Returns None when no mode contributes (in particular for lam <= 1/4,
+    below the universal potential floor).
     """
     return _scan_modes(end, lam, opts).mode_range
 
 
 def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
-    """Dirichlet eigenvalue count of the end below lam, summed over modes."""
+    """Dirichlet eigenvalue count of the end below lam, summed over modes.
+
+    The end is cut at t_hi (EndOptions.t_max, or where the field
+    intensity stays above 4*lambda) with a Dirichlet wall there.  n is
+    the number of interior points of the finest shared grid any mode of
+    the window was counted on.  converged is False when a mode's count
+    did not settle within max_refinements grids, or when the window held
+    more than max_modes modes; the window is then not swept and the count
+    is 0.
+    """
     scan = _scan_modes(end, lam, opts)
-    results = scan.results
-    total = sum(r.count for r in results.values())
-    n_max = max((r.n for r in results.values()), default=0)
-    t_hi = max((r.t_hi for r in results.values()), default=float(end.t0))
-    return CountResult(count=int(total), lam=float(lam), n=n_max, t_hi=t_hi,
-                       mode_range=scan.mode_range, converged=scan.converged)
+    return CountResult(count=int(scan.counts.sum()), lam=float(lam), n=scan.n,
+                       t_hi=scan.t_hi, mode_range=scan.mode_range,
+                       converged=scan.converged)

@@ -76,6 +76,23 @@ def dense_mode_count(V, t_lo: float, t_hi: float, n: int, lam: float) -> int:
     return int(np.sum(evals < lam))
 
 
+def dense_lowest_eigenvalue(V, t_lo: float, t_hi: float, n: int) -> float:
+    """Lowest Dirichlet eigenvalue of -d^2/dt^2 + V on (t_lo, t_hi).
+
+    LAPACK on n and 2n + 1 interior points (h halved exactly), then one
+    Richardson step for the O(h^2) error of the 3-point scheme.
+    """
+    def lowest(m):
+        h = (t_hi - t_lo) / (m + 1)
+        grid = t_lo + h * np.arange(1, m + 1)
+        diag = 2.0 / (h * h) + np.asarray(V(grid), dtype=float)
+        off = np.full(m - 1, -1.0 / (h * h))
+        return float(eigvalsh_tridiagonal(diag, off, select="i",
+                                          select_range=(0, 0))[0])
+    coarse, fine = lowest(n), lowest(2 * n + 1)
+    return fine + (fine - coarse) / 3.0
+
+
 # ---------------------------------------------------------------------------
 # Config files and CLI
 

@@ -1,14 +1,16 @@
-"""Mode potentials and the outward mode scan behind count_end."""
+"""Mode potentials, the mode window and the batched sweep behind count_end."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dense_mode_count, make_cusp, make_funnel
+from conftest import (dense_lowest_eigenvalue, dense_mode_count,
+                      make_cusp, make_funnel)
 from hypmag import (BoundedFieldError, EndOptions, count_end,
                     cusp_mode_potential, funnel_limit_potential,
                     funnel_mode_potential, mode_range)
+from hypmag.modes import mode_window
 
 
 class TestModePotentials:
@@ -130,10 +132,12 @@ class TestCountEndRegression:
             assert res.count == count
 
     def test_funnel_cosh(self):
+        # 1515 is the dense LAPACK count of bench/oracle.py (per-mode
+        # grids, near-threshold eigenvalues decided by Richardson steps)
         end = make_funnel([0.0, 1.0])
         res = count_end(end, 50.0)
         assert res.converged
-        assert res.count == 1517
+        assert res.count == 1515
 
 
 class TestScanInvariants:
@@ -177,6 +181,7 @@ class TestScanEdgeCases:
             assert res.converged
             assert res.mode_range is None
             assert mode_range(end, lam) is None
+            assert mode_window(end, lam).size == 0
 
     def test_constant_field_rejected(self):
         for end in (make_cusp([2.0]), make_funnel([1.5])):
@@ -212,3 +217,54 @@ class TestScanEdgeCases:
         assert res.lam == 100.0
         assert res.n > 0
         assert res.t_hi > end.t0
+
+
+# the ends of the acceptance criteria and of the benchmark
+WINDOW_ENDS = [
+    make_cusp([0.0, 1.0]),
+    make_funnel([0.0, 1.0]),
+    make_funnel([0.0, 0.0, 1.0]),
+    make_funnel([0.5, 1.0], tau=0.7, t0=0.1, xi=0.3),
+    make_cusp([0.3, 0.0, 0.8], L=1.2, t0=-0.2, xi=-0.6),
+    make_funnel([0.0, 1.4], tau=1.3, t0=0.2, xi=0.45),
+    make_funnel([0.3, 0.0, 0.8], tau=0.8, t0=0.05, xi=-0.35),
+    make_funnel([0.0, 0.6, 0.5], tau=1.1, xi=0.15),
+    make_cusp([0.0, 0.7, 0.2], L=0.8, t0=0.3, xi=0.25),
+    make_cusp([0.5, 1.5], L=1.4, t0=-0.2, xi=-0.3),
+    make_funnel([0.0, 0.0, 1.0], tau=0.8, t0=0.2),
+]
+
+
+class TestModeWindow:
+    @pytest.mark.parametrize("lam", [20.0, 100.0])
+    @pytest.mark.parametrize("end", WINDOW_ENDS)
+    def test_modes_outside_are_empty(self, end, lam):
+        # every mode next to the window but outside it has its lowest
+        # Dirichlet eigenvalue on [t0, t_hi] at or above lambda, by dense
+        # LAPACK on its own potential
+        window = mode_window(end, lam)
+        res = count_end(end, lam)
+        lo, hi = res.mode_range
+        assert window[0] <= lo <= hi <= window[-1]
+        inside = set(window.tolist())
+        outside = sorted({ell + d for ell in inside for d in (-1, 1)} - inside)
+        assert outside
+        make = funnel_mode_potential if hasattr(end, "tau") else cusp_mode_potential
+        for ell in outside:
+            e0 = dense_lowest_eigenvalue(make(end, ell), end.t0, res.t_hi, 6000)
+            assert e0 >= lam, (ell, e0)
+
+    def test_wider_than_max_modes_is_not_converged(self):
+        end = make_funnel([0.0, 1.0])
+        assert mode_window(end, 50.0).size > 1000
+        res = count_end(end, 50.0, EndOptions(max_modes=1000))
+        assert not res.converged
+        assert res.count == 0
+        assert res.mode_range is None
+        assert count_end(end, 50.0).converged
+
+    def test_unsettled_mode_is_not_converged(self):
+        # two grids can never give three equal counts
+        end = make_cusp([0.0, 1.0])
+        res = count_end(end, 30.0, EndOptions(max_refinements=2))
+        assert not res.converged

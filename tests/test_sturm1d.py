@@ -8,6 +8,7 @@ import pytest
 from conftest import dense_count_below, dense_eigenvalues, dense_mode_count
 from hypmag import (CountOptions, TridiagonalOperator, count_below,
                     count_stable, discretize, lowest_eigenvalues)
+from hypmag.sturm1d import mode_counts
 
 
 def random_tridiagonal(rng):
@@ -180,3 +181,73 @@ class TestCountStable:
         assert res.lam == 10.0
         assert res.n >= 2
         assert res.mode_range is None
+
+
+def wavy_coeffs(t):
+    """A mode family (ell - a)^2 w + q with a turning gauge."""
+    return 3.0 * np.sin(t), 1.0 + t, 0.25 + 0.0 * t
+
+
+class TestModeCounts:
+    def test_matches_dense_per_mode(self):
+        # fractional modes and many of them: the pivot recurrence runs in
+        # blocks of a few rows, so block boundaries fall inside the grid
+        ells = np.linspace(-7.0, 7.0, 601)
+        t_lo, t_hi, n = 0.0, 4.0, 300
+        h = (t_hi - t_lo) / (n + 1)
+        grid = t_lo + h * np.arange(1, n + 1)
+        a, w, q = wavy_coeffs(grid)
+        for lam in (3.0, 17.5, 60.0):
+            got = mode_counts(wavy_coeffs, t_lo, t_hi, n, ells, lam)
+            for ell, k in zip(ells, got):
+                diag = 2.0 / (h * h) + (ell - a) ** 2 * w + q
+                evals = dense_eigenvalues(diag, np.full(n - 1, -1.0 / (h * h)))
+                # keep lambda off the eigenvalues, where LAPACK decides
+                assert np.min(np.abs(evals - lam)) > 1e-8
+                assert k == int(np.sum(evals < lam))
+
+    def test_matches_count_below(self):
+        ells = np.arange(-6, 7)
+        grid = (0.5, 3.5, 97)
+        got = mode_counts(wavy_coeffs, *grid, ells, 20.0)
+        for ell, k in zip(ells, got):
+            def V(t, ell=ell):
+                a, w, q = wavy_coeffs(t)
+                return (ell - a) ** 2 * w + q
+            assert k == count_below(discretize(V, *grid), 20.0)
+
+    def test_zero_pivot_blocks(self):
+        # a = w = q = 0 and h = 1 give diag 2, off -1 for every mode, and
+        # lam = 2 sits exactly on the middle eigenvalue 2 - 2 cos(j pi /
+        # (n+1)) for odd n: each row of the block has the zero pivot
+        # chain, which must resolve to the exact strict count (n-1)//2
+        def zero(t):
+            return 0.0 * t, 0.0 * t, 0.0 * t
+        for n, m in ((5, 3), (7, 1), (51, 2000), (2049, 20)):
+            got = mode_counts(zero, 0.0, n + 1.0, n, np.arange(m), 2.0)
+            assert got.tolist() == [(n - 1) // 2] * m
+
+    def test_zero_pivot_nudge_matches_count_below(self):
+        # q dips one ulp below 0 at every third point of the same chain:
+        # pivots (0, -huge, -ulp) with no nudge count that dip, the nudged
+        # recurrence of count_below does not.  The block path must agree
+        # with count_below, not with plain IEEE arithmetic.
+        dip = 2.0 - np.nextafter(2.0, 0.0)
+
+        def dips(t):
+            q = np.where(np.round(t) % 3 == 0, -dip, 0.0)
+            return 0.0 * t, 0.0 * t, q
+        for n in (5, 51, 2049):
+            T = discretize(lambda t: dips(t)[2], 0.0, n + 1.0, n)
+            got = mode_counts(dips, 0.0, n + 1.0, n, np.arange(20), 2.0)
+            assert got.tolist() == [count_below(T, 2.0)] * 20
+
+    def test_empty_family(self):
+        got = mode_counts(wavy_coeffs, 0.0, 1.0, 8, [], 5.0)
+        assert got.shape == (0,)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mode_counts(wavy_coeffs, 1.0, 1.0, 8, [0], 5.0)
+        with pytest.raises(ValueError):
+            mode_counts(wavy_coeffs, 0.0, 1.0, 0, [0], 5.0)
