@@ -1,33 +1,37 @@
 """Phase-space side of the counting problem: Weyl integral and brackets.
 
-The semiclassical prediction for the number of Dirichlet eigenvalues of
-an end below lambda is
+The semiclassical count of the Dirichlet eigenvalues below lambda is
 
     (1/2pi) int_M N(lambda - 1/4, |b~|) dm
         = sum_ends int_{t0}^{oo} N(lambda - 1/4, |b~(t)|) rho(t) dt,
 
-with N the scaled Landau counting weight and rho the area density
-(tau cosh t on funnels, L e^{-t} on cusps).  For unbounded profiles the
-integrand has compact support.  It is piecewise smooth with jumps along
-the level sets |b~(t)| = mu/(2k+1); integration is adaptive Simpson on
-the smooth pieces, with the jump locations found by root bracketing.
-
-The module also evaluates the two-sided bracket that the counting
-function satisfies for admissible (delta, C), the sublevel-area function
-omega and its doubling-type regularity check, and a log-log exponent fit
-for count asymptotics.
+with rho the area density (tau cosh t on funnels, L e^{-t} on cusps).
+N(mu, b) = k b is constant in k = #{j : (2j+1) b < mu} between the zeros
+of b~ and the crossings |b~| = mu/(2k+1), and a' = -rho b~ for the gauge
+a, so the integral is sum k |a(hi) - a(lo)| over these pieces.  Near a
+zero of b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in
+for the levels.  The bracket for admissible (delta, C) integrates its
+weights over the same pieces by Gauss-Legendre.  Also here: the sublevel
+areas omega, their doubling check, and log-log exponent fits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .landau import landau_count
-from .model import BoundedFieldError, CuspEnd, FunnelEnd, SurfaceEnds, eval_field
+from .model import (BoundedFieldError, CuspEnd, FunnelEnd, RadialField,
+                    SurfaceEnds, eval_field, gauge_function)
+
+_GRID = 4096            # samples of b~ on [t0, t_end] in the first pass
+_MAX_GRID = 1 << 18     # finest sample grid before the piece check gives up
+_MAX_PIECES = 1 << 22   # pieces held at once; a quarter of that in levels
+_ROUNDS = 8             # cutoff reductions before the kink bound gives up
+_HALVINGS = 40          # Gauss-Legendre halvings before giving up
+_BLOCK = 1 << 14        # pieces per Gauss-Legendre evaluation
+_GAUSS = [np.polynomial.legendre.leggauss(m) for m in (16, 32)]
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ class WeylOptions:
 
     delta must lie strictly inside (1/3, 2/5); bracket_C is the remainder
     constant supplied by the user (C = 0 collapses the bracket onto the
-    plain integral).
+    plain integral); quad_tol bounds the relative error of each integral.
     """
 
     delta: float = 0.35
@@ -53,185 +57,189 @@ class WeylOptions:
             raise ValueError("bracket_C must be >= 0")
 
 
-def _density(end):
+def _end_list(ends):
+    """The ends as a list; each must have an unbounded field."""
+    ends = ends.ends if isinstance(ends, SurfaceEnds) else ends
+    ends = [ends] if isinstance(ends, (FunnelEnd, CuspEnd)) else list(ends)
+    if not all(end.field.unbounded for end in ends):
+        raise BoundedFieldError("bounded field: the phase-space integral "
+                                "diverges over an infinite-area region")
+    return ends
+
+
+def _area(end, lo, hi):
+    """int rho dt over [lo, hi]."""
     if isinstance(end, FunnelEnd):
-        return lambda t: end.tau * np.cosh(t)
-    return lambda t: end.L * np.exp(-t)
+        return end.tau * (np.sinh(hi) - np.sinh(lo))
+    return end.L * (np.exp(-lo) - np.exp(-hi))
 
 
-def _require_unbounded(ends):
-    for end in ends:
-        if not end.field.unbounded:
-            raise BoundedFieldError(
-                "bounded field: the phase-space integral diverges over an "
-                "infinite-area region")
+def _radii(end, poly):
+    """Radii t > t0 where x = cosh t (funnel) or e^t (cusp) is a root of
+    poly(x); complex roots count by real part if nearly real, else modulus."""
+    x = np.roots(poly[::-1])
+    x = np.where(np.abs(x.imag) <= 1e-6 * (1.0 + np.abs(x.real)), x.real, np.abs(x))
+    t = np.arccosh(x[x >= 1.0]) if isinstance(end, FunnelEnd) else np.log(x[x > 0.0])
+    return t[t > end.t0]
 
 
-def _as_end_list(ends):
-    if isinstance(ends, SurfaceEnds):
-        return list(ends.ends)
-    if isinstance(ends, (FunnelEnd, CuspEnd)):
-        return [ends]
-    return list(ends)
-
-
-def _support_end(end, mu: float) -> float:
-    """Radius beyond which the intensity stays safely above mu."""
+def _samples(end, mu: float, n: int):
+    """n radii on [t0, t_end] plus the turning points of b~ (so that b~ is
+    monotone between samples), and b~ there.  Past t_end, the last root of
+    b~ -+ max(2 mu, mu + 1), |b~| stays above mu; no samples if t_end = t0."""
+    poly = np.trim_zeros(np.array(end.field.coeffs), "b")
     target = max(2.0 * mu, mu + 1.0)
-    t = end.t0
-    cap = end.t0 + 200.0
-    while t < cap:
-        samples = np.linspace(t, t + 2.0, 9)
-        if np.all(np.abs(eval_field(end, samples)) >= target):
-            return t
-        t += 0.5
-    raise BoundedFieldError(
-        f"field intensity does not reach {target}; profile looks bounded")
+    t_end = max([end.t0] + [float(t) for s in (target, -target)
+                            for t in _radii(end, poly - s * np.eye(poly.size)[0])])
+    if t_end > end.t0 + 200.0:
+        raise BoundedFieldError(f"intensity reaches {target} only at t = {t_end}")
+    if mu <= 0.0 or t_end == end.t0:
+        return np.empty(0), np.empty(0)
+    turns = _radii(end, np.arange(1, poly.size) * poly[1:])
+    t = np.union1d(np.linspace(end.t0, t_end, n), turns[turns < t_end])
+    return t, np.asarray(eval_field(end, t), dtype=float)
 
 
-def _refine_roots(fvals, grid, f):
-    """Roots of f from sign changes of its samples, sharpened by brentq."""
-    roots = []
-    s = np.sign(fvals)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    for i in idx:
-        roots.append(brentq(f, grid[i], grid[i + 1], xtol=1e-13))
-    # exact zeros sitting on grid nodes
-    for i in np.nonzero(fvals == 0.0)[0]:
-        roots.append(float(grid[i]))
-    return roots
+def _pieces(end, mu: float, cuts):
+    """Edges of the pieces of [t0, t_end] where b~ keeps its sign and |b~|
+    crosses no cut, and b~ at their midpoints.  A sample cell is a bracket,
+    or two around a zero of b~; a cut strictly between a bracket's values
+    of |b~| is a root of (sign b~) b~ - cut there, and one bisection finds
+    all roots.  The sample grid is refined while the band or sign of b~
+    just inside the ends of some piece differs from that at its midpoint."""
+    cuts = np.sort(np.asarray(cuts, dtype=float))
+    n = _GRID
+    while n <= _MAX_GRID:
+        t, b = _samples(end, mu, n)
+        if t.size == 0:
+            return t, b
+        v = np.abs(b)
+        flip = np.flatnonzero(b[:-1] * b[1:] < 0.0)
+        cell = np.concatenate([np.arange(t.size - 1), flip])
+        sign = np.concatenate([np.sign(b[:-1] + b[1:]), np.sign(b[flip + 1])])
+        m = np.concatenate([np.minimum(v[:-1], v[1:]), np.zeros(flip.size)])
+        M = np.concatenate([np.maximum(v[:-1], v[1:]), v[flip + 1]])
+        sign[flip], m[flip], M[flip] = np.sign(b[flip]), 0.0, v[flip]
+        first = np.searchsorted(cuts, m, side="right")
+        count = np.maximum(np.searchsorted(cuts, M, side="left") - first, 0)
+        j = np.repeat(np.arange(count.size), count)
+        c = cuts[first[j] + np.arange(j.size)
+                 - np.repeat(np.cumsum(count) - count, count)]
+        cell = np.concatenate([cell[j], flip])
+        s = np.concatenate([sign[j], np.ones(flip.size)])
+        c = np.concatenate([c, np.zeros(flip.size)])
+        lo, hi, neg = t[cell], t[cell + 1], s * b[cell] - c < 0.0
+        mid = 0.5 * (lo + hi)
+        while np.any((lo < mid) & (mid < hi)):
+            right = (s * eval_field(end, mid) - c < 0.0) == neg
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+            mid = 0.5 * (lo + hi)
+        edges = np.unique(np.concatenate([t[[0, -1]], mid]))
+        lo, hi = edges[:-1], edges[1:]
+        inside = lo + np.multiply.outer([1e-3, 0.5, 0.999], hi - lo)
+        b = np.asarray(eval_field(end, inside))
+        band = np.searchsorted(cuts, np.abs(b))
+        agree = (np.sign(b) == np.sign(b[1])) & (band == band[1])
+        if np.all(agree | (hi - lo <= 1e-9 * (1.0 + np.abs(hi)))):
+            return edges, b[1]
+        n *= 2
+    raise RuntimeError(f"breakpoints still missing on {_MAX_GRID} samples")
 
 
-_LEVEL_CAP = 4096
-
-
-def _breakpoints(end, mu: float, t_end: float, ngrid: int = 4096):
-    """Sorted discontinuity/kink locations of N(mu, |b~(t)|) on [t0, t_end]."""
-    grid = np.linspace(end.t0, t_end, ngrid)
-    signed = np.asarray(eval_field(end, grid), dtype=float)
-    babs = np.abs(signed)
-    pts = [end.t0, t_end]
-    # kinks of |b~| where the signed profile crosses zero
-    pts += _refine_roots(signed, grid, lambda t: float(eval_field(end, t)))
-    bmin = float(np.min(babs))
-    k = 0
-    while k <= _LEVEL_CAP:
-        nu = mu / (2 * k + 1)
-        if nu < bmin:
+def _gauss(end, lo, hi, coef, bound, weight, quad_tol: float) -> float:
+    """sum_j coef_j int w(|b~|) rho (|b~| if not bound_j) dt on piece j, by
+    Gauss-Legendre with 32 nodes, checked against 16; a piece whose rules
+    differ by more than its share of half of quad_tol is halved."""
+    span, total, out = float(hi[-1] - lo[0]), None, 0.0
+    for _ in range(_HALVINGS):
+        rules = np.empty((2, lo.size))
+        for i in range(0, lo.size, _BLOCK):
+            part = slice(i, i + _BLOCK)
+            mid, half = 0.5 * (lo + hi)[part], 0.5 * (hi - lo)[part]
+            for r, (x, wx) in enumerate(_GAUSS):
+                t = mid[:, None] + half[:, None] * x
+                v = np.abs(np.asarray(eval_field(end, t)))
+                rho = (end.tau * np.cosh(t) if isinstance(end, FunnelEnd)
+                       else end.L * np.exp(-t))
+                f = weight(v) * rho * np.where(bound[part, None], 1.0, v)
+                rules[r, part] = coef[part] * half * (f @ wx)
+        total = abs(float(rules[1].sum())) if total is None else total
+        ok = np.abs(rules[1] - rules[0]) <= 0.25 * quad_tol * (
+            np.abs(rules[1]) + total * (hi - lo) / span)
+        out += float(rules[1][ok].sum())
+        bad = ~ok
+        if not bad.any() or 2 * np.count_nonzero(bad) > _MAX_PIECES:
             break
-        pts += _refine_roots(babs - nu, grid,
-                             lambda t, nu=nu: abs(float(eval_field(end, t))) - nu)
-        k += 1
-    pts = sorted(p for p in pts if end.t0 <= p <= t_end)
-    merged = [pts[0]]
-    for p in pts[1:]:
-        if p - merged[-1] > 1e-12:
-            merged.append(p)
-    return merged
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 48) -> float:
-    def simpson(x0, f0, x2, f2, fm):
-        return (x2 - x0) * (f0 + 4.0 * fm + f2) / 6.0
-
-    def recurse(x0, f0, x2, f2, fm, whole, tol, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, f0, xm, fm, fl)
-        right = simpson(xm, fm, x2, f2, fr)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, f0, xm, fm, fl, left, 0.5 * tol, depth - 1)
-                + recurse(xm, fm, x2, f2, fr, right, 0.5 * tol, depth - 1))
-
-    if b <= a:
-        return 0.0
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, b, fb, fm, whole, tol, max_depth)
-
-
-def _integral_over_end(end, mu: float, weight, quad_tol: float) -> float:
-    """int N(mu, |b~|) * weight(|b~|) * rho dt over the end."""
-    if mu <= 0.0:
-        return 0.0
-    rho = _density(end)
-
-    def f(t: float) -> float:
-        b = abs(float(eval_field(end, t)))
-        w = weight(b)
-        if w == 0.0:
-            return 0.0
-        return landau_count(mu, b) * w * float(rho(t))
-
-    t_end = _support_end(end, mu)
-    if t_end <= end.t0:
-        return 0.0
-    pieces = _breakpoints(end, mu, t_end)
-    # rough composite pass to calibrate per-piece absolute tolerances
-    rough = []
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        xs = np.linspace(lo, hi, 9)
-        ys = np.array([f(x) for x in xs])
-        rough.append(abs(float(np.trapezoid(ys, xs))))
-    total_rough = sum(rough) + 1e-300
-    out = 0.0
-    for (lo, hi), r in zip(zip(pieces[:-1], pieces[1:]), rough):
-        share = max(r / total_rough, 1.0 / (4 * len(rough)))
-        tol = quad_tol * total_rough * share
-        # nudge interior endpoints off jump points
-        eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-        out += _adaptive_simpson(f, lo + eps, hi - eps, tol)
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo, hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+        coef, bound = np.tile(coef[bad], 2), np.tile(bound[bad], 2)
+    if bad.any():
+        raise RuntimeError("Gauss-Legendre rules still disagree on "
+                           f"{np.count_nonzero(bad)} pieces; quad_tol is too tight")
     return out
+
+
+def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
+    """int N(mu, |b~|) w(|b~|) rho dt over the end; w = 1 if weight is None.
+
+    The cuts are the levels above beta (below all levels if they fit in
+    memory), beta, and the kink of w.  Pieces above beta count k |Delta a|
+    (times w: Gauss-Legendre, as also if rounding in a would not fit
+    quad_tol), the others mu/2 times their area within max w |Delta a|/2.
+    """
+    t, b = _samples(end, mu, _GRID)
+    if t.size == 0:
+        return 0.0
+    bmin = 0.0 if np.any(b[:-1] * b[1:] <= 0.0) else float(np.min(np.abs(b)))
+    beta = 0.5 * bmin if mu * 16 < bmin * _MAX_PIECES else 0.25 * mu * quad_tol ** 0.5
+    # gauge_function of this end sums the sizes of the terms of a
+    sizes = replace(end, xi=-abs(end.xi), field=RadialField(
+        end.field.kind, tuple(abs(c) for c in end.field.coeffs)))
+    for _ in range(_ROUNDS):
+        if mu > beta * _MAX_PIECES / 2:
+            raise RuntimeError(f"more than {_MAX_PIECES // 4} Landau levels "
+                               f"above {beta}; lower lambda or raise quad_tol")
+        levels = mu / (2.0 * np.arange(int(mu / beta) // 2 + 1) + 1.0)
+        cuts = [*levels[levels > beta], beta] + ([kink] if kink else [])
+        edges, b = _pieces(end, mu, cuts)
+        lo, hi, v = edges[:-1], edges[1:], np.abs(b)
+        # int |b~| rho dt on each piece; signed differences telescope, so
+        # the rounding of a does not pile up over many narrow pieces
+        da = -np.sign(b) * np.diff(gauge_function(end, edges))
+        bound = v < beta
+        with np.errstate(divide="ignore"):
+            k = np.maximum(np.ceil((mu - v) / (2.0 * v)), 0.0)
+        coef = np.where(bound, 0.5 * mu, k)
+        total = float(np.sum(coef * np.where(bound, _area(end, lo, hi), da)))
+        # a at each edge enters that sum about once, as the level count steps
+        rounding = 4e-16 * edges.size * np.max(np.abs(gauge_function(sizes, edges)))
+        if weight or rounding > 0.5 * quad_tol * abs(total):
+            total = _gauss(end, lo, hi, coef, bound, weight or (lambda v: 1.0), quad_tol)
+        wmax = float(max(weight(0.0), weight(beta))) if weight else 1.0
+        err = 0.5 * wmax * float(np.sum(da[bound]))
+        budget = 0.5 * quad_tol * abs(total)
+        if err <= budget:
+            return total
+        beta *= min(0.5, 0.9 * math.sqrt(budget / err))
+    raise RuntimeError("unresolved Landau levels near a zero of b~ exceed "
+                       f"quad_tol after {_ROUNDS} cutoff reductions")
 
 
 def weyl_integral(ends, lam: float, opts: WeylOptions | None = None) -> float:
     """Semiclassical eigenvalue count below lam, summed over the given ends."""
     opts = opts or WeylOptions()
-    ends = _as_end_list(ends)
-    _require_unbounded(ends)
     mu = float(lam) - 0.25
-    if mu <= 0.0:
-        return 0.0
-    return sum(_integral_over_end(end, mu, lambda b: 1.0, opts.quad_tol)
-               for end in ends)
+    return sum(_integral_over_end(end, mu, opts.quad_tol) for end in _end_list(ends))
 
 
 def omega(ends, mu: float) -> float:
-    """Riemannian area of the sublevel region { |b~| < mu }.
-
-    The boundaries are bracketed on a sample grid and polished by brentq;
-    the area of each piece then has a closed form, so the result is
-    root-finder accurate rather than quadrature limited.
-    """
-    ends = _as_end_list(ends)
-    _require_unbounded(ends)
-    mu = float(mu)
-    if mu <= 0.0:
-        return 0.0
-    total = 0.0
-    for end in ends:
-        t_end = _support_end(end, mu)
-        if t_end <= end.t0:
-            continue
-        grid = np.linspace(end.t0, t_end, 4096)
-        babs = np.abs(np.asarray(eval_field(end, grid), dtype=float))
-        cuts = [end.t0] + _refine_roots(
-            babs - mu, grid,
-            lambda t: abs(float(eval_field(end, t))) - mu) + [t_end]
-        cuts = sorted(set(cuts))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo < 1e-14:
-                continue
-            mid = 0.5 * (lo + hi)
-            if abs(float(eval_field(end, mid))) < mu:
-                if isinstance(end, FunnelEnd):
-                    total += 2.0 * math.pi * end.tau * (math.sinh(hi) - math.sinh(lo))
-                else:
-                    total += 2.0 * math.pi * end.L * (math.exp(-lo) - math.exp(-hi))
+    """Riemannian area of the sublevel region { |b~| < mu }: a closed form on
+    the pieces between the crossings of the one cut mu, found to rounding."""
+    mu, total = float(mu), 0.0
+    for end in _end_list(ends):
+        edges, b = _pieces(end, mu, [mu])
+        area = _area(end, edges[:-1], edges[1:])
+        total += 2.0 * math.pi * float(np.sum(area[np.abs(b) < mu]))
     return total
 
 
@@ -250,15 +258,12 @@ def check_hypW(ends, mu_grid, tau_grid) -> HypWReport:
     mu values with omega(mu) = 0 cannot be tested and are reported as
     skipped; the hypothesis holds when every tested ratio is finite.
     """
-    mu_grid = [float(m) for m in mu_grid]
-    tau_grid = [float(t) for t in tau_grid]
+    mu_grid, tau_grid = [float(m) for m in mu_grid], [float(t) for t in tau_grid]
     if not mu_grid or not tau_grid:
         raise ValueError("mu_grid and tau_grid must be nonempty")
     if any(not (0.0 < t < 1.0) for t in tau_grid):
         raise ValueError("tau values must lie in (0, 1)")
-    witness = 0.0
-    skipped = []
-    tested = 0
+    witness, skipped, tested = 0.0, [], 0
     for mu in mu_grid:
         om = omega(ends, mu)
         if om <= 0.0:
@@ -268,8 +273,8 @@ def check_hypW(ends, mu_grid, tau_grid) -> HypWReport:
             ratio = (omega(ends, (1.0 + tau) * mu) - om) / (tau * om)
             witness = max(witness, ratio)
             tested += 1
-    holds = tested > 0 and math.isfinite(witness)
-    return HypWReport(holds=holds, C1_witness=witness, skipped=tuple(skipped))
+    return HypWReport(holds=tested > 0 and math.isfinite(witness),
+                      C1_witness=witness, skipped=tuple(skipped))
 
 
 def theorem1_bracket(ends, lam: float, opts: WeylOptions | None = None) -> tuple[float, float]:
@@ -279,32 +284,27 @@ def theorem1_bracket(ends, lam: float, opts: WeylOptions | None = None) -> tuple
     upper = (1/2pi) int (1 + C/(b+1)^p) N(lam (1 + C lam^{1-3 delta}) - 1/4, b) dm
 
     with p = (2 - 5 delta)/2.  The lower weight is clamped at zero, so
-    lower <= upper always.
+    lower <= upper always; for C = 0 both are the Weyl integral.
     """
     opts = opts or WeylOptions()
-    ends = _as_end_list(ends)
-    _require_unbounded(ends)
+    ends = _end_list(ends)
     lam = float(lam)
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     C = opts.bracket_C
     p = (2.0 - 5.0 * opts.delta) / 2.0
     shift = C * lam ** (1.0 - 3.0 * opts.delta)
-    mu_lo = lam * (1.0 - shift) - 0.25
-    mu_hi = lam * (1.0 + shift) - 0.25
 
-    def w_lo(b):
-        return max(0.0, 1.0 - C / (b + 1.0) ** p)
+    def total(mu, weight=None, kink=None):
+        return sum(_integral_over_end(e, mu, opts.quad_tol, weight, kink) for e in ends)
 
-    def w_hi(b):
-        return 1.0 + C / (b + 1.0) ** p
-
-    lower = 0.0
-    if mu_lo > 0.0:
-        lower = sum(_integral_over_end(end, mu_lo, w_lo, opts.quad_tol)
-                    for end in ends)
-    upper = sum(_integral_over_end(end, mu_hi, w_hi, opts.quad_tol)
-                for end in ends) if mu_hi > 0.0 else 0.0
+    if C == 0.0:
+        return (total(lam - 0.25),) * 2
+    # the lower weight reaches 0 at b = C^(1/p) - 1
+    kink = math.exp(min(math.log(C) / p, 700.0)) - 1.0 if C > 1.0 else None
+    lower = total(lam * (1.0 - shift) - 0.25,
+                  lambda b: np.maximum(0.0, 1.0 - C / (b + 1.0) ** p), kink)
+    upper = total(lam * (1.0 + shift) - 0.25, lambda b: 1.0 + C / (b + 1.0) ** p)
     return min(lower, upper), upper
 
 
@@ -323,8 +323,7 @@ def fit_exponent(samples) -> ExponentFit:
     pairs = [(float(l), float(c)) for l, c in samples]
     if len(pairs) < 3:
         raise ValueError("need at least three samples to fit an exponent")
-    lams = np.array([p[0] for p in pairs])
-    counts = np.array([p[1] for p in pairs])
+    lams, counts = np.array(pairs).T
     if np.any(np.diff(lams) <= 0.0):
         raise ValueError("lambda samples must be strictly increasing")
     if np.any(counts <= 0.0) or np.any(lams <= 0.0):

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import make_cusp, make_funnel
-from hypmag import (BoundedFieldError, SurfaceEnds, WeylOptions, check_hypW,
-                    eval_field, fit_exponent, landau_count, omega,
+from hypmag import (BoundedFieldError, FunnelEnd, SurfaceEnds, WeylOptions,
+                    check_hypW, eval_field, fit_exponent, landau_count, omega,
                     theorem1_bracket, weyl_integral)
 
 
@@ -26,6 +27,25 @@ def cusp_linear_weyl(lam: float, L: float = 1.0, t0: float = 0.0) -> float:
     return L * total
 
 
+def funnel_bracket_quad(end, mu: float, weight, kink: float = 0.0) -> float:
+    """int N(mu, b) w(b) tau cosh t dt for b~ = c0 + c1 cosh t > 0, by quad
+    on each piece between the level crossings cosh t = (mu/(2k+1) - c0)/c1
+    (and the weight's kink)."""
+    c0, c1 = end.field.coeffs
+    cuts = [mu / (2 * k + 1) for k in range(int(mu))] + [kink]
+    edges = sorted({end.t0} | {math.acosh((nu - c0) / c1) for nu in cuts
+                               if (nu - c0) / c1 > math.cosh(end.t0)})
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = c0 + c1 * math.cosh(0.5 * (lo + hi))
+        k = sum(1 for j in range(int(mu)) if (2 * j + 1) * mid < mu)
+        if k:
+            total += quad(lambda t: k * (c0 + c1 * math.cosh(t))
+                          * weight(c0 + c1 * math.cosh(t)) * end.tau * math.cosh(t),
+                          lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+    return total
+
+
 def funnel_cosh_omega(mu: float, tau: float) -> float:
     """Area of {cosh t < mu} on a funnel with t0 = 0."""
     if mu <= 1.0:
@@ -35,10 +55,11 @@ def funnel_cosh_omega(mu: float, tau: float) -> float:
 
 class TestWeylIntegral:
     def test_cusp_linear_closed_form(self):
+        # up to 25600 Landau levels cross the profile; none may be dropped
         end = make_cusp([0.0, 1.0])
-        for lam in (50.0, 100.0, 400.0, 800.0):
+        for lam in (50.0, 100.0, 400.0, 800.0, 3200.0, 12800.0, 51200.0):
             expected = cusp_linear_weyl(lam)
-            assert weyl_integral(end, lam) == pytest.approx(expected, rel=1e-8)
+            assert weyl_integral(end, lam) == pytest.approx(expected, rel=1e-10)
 
     def test_cusp_closed_form_with_offsets(self):
         end = make_cusp([0.0, 1.0], L=1.7, t0=0.8)
@@ -52,16 +73,48 @@ class TestWeylIntegral:
         assert weyl_integral(end, 0.1) == 0.0
 
     def test_sign_changing_field_matches_trapezoid(self):
-        # b~ = y - 2 vanishes at t = ln 2; the breakpoint machinery must
-        # handle the kink of |b~| exactly
-        end = make_cusp([-2.0, 1.0])
-        lam = 30.0
-        mu = lam - 0.25
-        ts = np.linspace(0.0, 12.0, 800001)
-        b = np.abs(np.asarray(eval_field(end, ts)))
-        f = np.array([landau_count(mu, bi) for bi in b]) * np.exp(-ts)
-        brute = float(np.trapezoid(f, ts))
-        assert weyl_integral(end, lam) == pytest.approx(brute, rel=1e-5)
+        # b~ vanishes inside each end (t = ln 2, acosh 3, ln 4); the levels
+        # accumulate there, and the unresolved ones must stay in quad_tol
+        for end, lam, t_hi in ((make_cusp([-2.0, 1.0]), 30.0, 12.0),
+                               (make_funnel([-3.0, 1.0]), 15.0, 6.0),
+                               (make_funnel([-3.0, 1.0]), 400.0, 8.0),
+                               (make_cusp([-4.0, 1.0], xi=0.2), 60.0, 12.0)):
+            mu = lam - 0.25
+            ts = np.linspace(end.t0, t_hi, 800001)
+            b = np.abs(np.asarray(eval_field(end, ts)))
+            rho = (end.tau * np.cosh(ts) if isinstance(end, FunnelEnd)
+                   else end.L * np.exp(-ts))
+            f = np.array([landau_count(mu, bi) for bi in b]) * rho
+            brute = float(np.trapezoid(f, ts))
+            assert weyl_integral(end, lam) == pytest.approx(brute, rel=1e-5)
+
+    def test_turning_point_inside_one_sample_cell(self):
+        # b~ = c (y - 2)^2 + 5 stays below mu only for |t - ln 2| < 7e-5,
+        # inside one cell of the first sample grid; with G the antiderivative
+        # of b~ e^{-t} in y, the integral is sum_k G(2 + r_k) - G(2 - r_k)
+        # over the levels nu_k > 5, r_k = sqrt((nu_k - 5)/c)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        c, lam = mpmath.mpf(10) ** 10, 50.0
+        mu = mpmath.mpf(lam) - mpmath.mpf(1) / 4
+        G = lambda y: c * (y - 4 * mpmath.log(y) - 4 / y) - 5 / y
+        exact = 0
+        k = 0
+        while mu / (2 * k + 1) > 5:
+            r = mpmath.sqrt((mu / (2 * k + 1) - 5) / c)
+            exact += G(2 + r) - G(2 - r)
+            k += 1
+        end = make_cusp([4 * float(c) + 5, -4 * float(c), float(c)])
+        assert weyl_integral(end, lam) == pytest.approx(float(exact), rel=1e-6)
+        r = math.sqrt((lam - 5.25) / float(c))
+        assert omega(end, lam - 0.25) == pytest.approx(
+            2.0 * math.pi * (1.0 / (2.0 - r) - 1.0 / (2.0 + r)), rel=1e-6)
+
+    def test_too_many_levels_raise(self):
+        # at this quad_tol all 5e6 levels must be resolved, and they do not
+        # fit in memory: refuse, never truncate
+        with pytest.raises(RuntimeError, match="Landau levels"):
+            weyl_integral(make_cusp([0.0, 1.0]), 1e7, WeylOptions(quad_tol=1e-12))
 
     def test_surface_sums_over_ends(self):
         cusp = make_cusp([0.0, 1.0])
@@ -179,6 +232,25 @@ class TestBracket:
             return (upper - lower) / weyl_integral(end, lam, opts)
 
         assert rel_width(200.0) < rel_width(50.0)
+
+    @pytest.mark.parametrize("end,lam,C", [
+        (make_funnel([0.0, 1.0]), 200.0, 1.0),
+        (make_funnel([0.0, 1.0]), 200.0, 1.2),
+        (make_funnel([0.5, 1.0], tau=0.7, t0=0.1, xi=0.3), 100.0, 1.0),
+    ])
+    def test_matches_piecewise_quad(self, end, lam, C):
+        # for C = 1.2 the lower weight reaches 0 at b = C^(1/p) - 1 = 3.3
+        opts = WeylOptions(bracket_C=C)
+        lower, upper = theorem1_bracket(end, lam, opts)
+        p = (2.0 - 5.0 * opts.delta) / 2.0
+        shift = C * lam ** (1.0 - 3.0 * opts.delta)
+        assert lower == pytest.approx(funnel_bracket_quad(
+            end, lam * (1.0 - shift) - 0.25,
+            lambda b: max(0.0, 1.0 - C / (b + 1.0) ** p), C ** (1.0 / p) - 1.0),
+            rel=1e-7)
+        assert upper == pytest.approx(funnel_bracket_quad(
+            end, lam * (1.0 + shift) - 0.25, lambda b: 1.0 + C / (b + 1.0) ** p),
+            rel=1e-7)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
