@@ -10,27 +10,24 @@ counting function (modes), the semiclassical integral and its bracket
 
 from .essential import (LimitReport, MorseOptions, MorseReport, SpectrumSet,
                         cusp_is_integral, essential_spectrum,
-                        funnel_mode_limit_check, holonomy, morse_check)
+                        funnel_limit_potential, funnel_mode_limit_check,
+                        holonomy, morse_check)
 from .landau import (LandauLevelSet, ess_bottom, landau_count,
                      landau_level_set)
 from .model import (BoundedFieldError, CuspEnd, DomainError, FunnelEnd,
                     GrowthReport, NonConstantFieldError, RadialField,
                     SurfaceEnds, check_growth_hypotheses, cusp_area,
                     eval_field, gauge_function, gauge_limit)
-from .modes import (EndOptions, ModePotential, count_end,
-                    cusp_mode_potential, funnel_limit_potential,
-                    funnel_mode_potential, mode_range)
-from .sturm1d import (CountOptions, CountResult, TridiagonalOperator,
-                      count_below, count_stable, discretize,
+from .modes import CountResult, EndOptions, count_end, mode_potential
+from .sturm1d import (TridiagonalOperator, count_below, discretize,
                       lowest_eigenvalues)
 from .weyl import (ExponentFit, HypWReport, WeylOptions, check_hypW,
                    fit_exponent, omega, theorem1_bracket, weyl_integral)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BoundedFieldError",
-    "CountOptions",
     "CountResult",
     "CuspEnd",
     "DomainError",
@@ -41,7 +38,6 @@ __all__ = [
     "HypWReport",
     "LandauLevelSet",
     "LimitReport",
-    "ModePotential",
     "MorseOptions",
     "MorseReport",
     "NonConstantFieldError",
@@ -54,10 +50,8 @@ __all__ = [
     "check_hypW",
     "count_below",
     "count_end",
-    "count_stable",
     "cusp_area",
     "cusp_is_integral",
-    "cusp_mode_potential",
     "discretize",
     "ess_bottom",
     "essential_spectrum",
@@ -65,14 +59,13 @@ __all__ = [
     "fit_exponent",
     "funnel_limit_potential",
     "funnel_mode_limit_check",
-    "funnel_mode_potential",
     "gauge_function",
     "gauge_limit",
     "holonomy",
     "landau_count",
     "landau_level_set",
     "lowest_eigenvalues",
-    "mode_range",
+    "mode_potential",
     "morse_check",
     "omega",
     "theorem1_bracket",

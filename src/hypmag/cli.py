@@ -24,12 +24,10 @@ from .weyl import WeylOptions, fit_exponent, theorem1_bracket, weyl_integral
 
 SCHEMA_VERSION = 1
 
-_NUMERIC_DEFAULTS = {
-    "grid_n": None,
-    "t_max": None,
-    "quad_tol": 1e-6,
-    "delta": 0.35,
-    "bracket_C": 1.0,
+# config "type" -> (end class, scale field, config field kind, model kind)
+_END_TYPES = {
+    "funnel": (FunnelEnd, "tau", "cosh-poly", FUNNEL_KIND),
+    "cusp": (CuspEnd, "L", "y-poly", CUSP_KIND),
 }
 
 
@@ -42,35 +40,27 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class NumericsConfig:
-    grid_n: int | None = None
-    t_max: float | None = None
-    quad_tol: float = 1e-6
-    delta: float = 0.35
-    bracket_C: float = 1.0
-
-
-@dataclass(frozen=True)
-class EndConfig:
-    type: str
-    scale: float      # tau for funnels, L for cusps
-    t0: float
-    xi: float
-    coeffs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class SurfaceConfig:
-    schema_version: int
-    ends: tuple[EndConfig, ...]
-    numerics: NumericsConfig
+    """A parsed config: model ends in config order and the option objects."""
+
+    ends: tuple[FunnelEnd | CuspEnd, ...]
+    end_options: EndOptions
+    weyl_options: WeylOptions
+
+    @property
+    def surface(self) -> SurfaceEnds:
+        return SurfaceEnds(
+            funnels=tuple(e for e in self.ends if isinstance(e, FunnelEnd)),
+            cusps=tuple(e for e in self.ends if isinstance(e, CuspEnd)))
 
 
-def _want(obj, key, types, path, required=True, default=None):
+def _type_name(end) -> str:
+    return "funnel" if isinstance(end, FunnelEnd) else "cusp"
+
+
+def _want(obj, key, types, path):
     if key not in obj:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}: missing required field")
     val = obj[key]
     if types is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -94,20 +84,15 @@ def _no_extras(obj, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _parse_end(obj, path) -> EndConfig:
+def _parse_end(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: each end must be an object")
     typ = _want(obj, "type", str, path)
-    if typ == "funnel":
-        _no_extras(obj, {"type", "tau", "t0", "xi", "field"}, path)
-        scale = _want(obj, "tau", float, path)
-        kind_wanted = "cosh-poly"
-    elif typ == "cusp":
-        _no_extras(obj, {"type", "L", "t0", "xi", "field"}, path)
-        scale = _want(obj, "L", float, path)
-        kind_wanted = "y-poly"
-    else:
+    if typ not in _END_TYPES:
         raise ConfigError(f"{path}.type: must be 'funnel' or 'cusp', got {typ!r}")
+    cls, scale_key, kind_wanted, model_kind = _END_TYPES[typ]
+    _no_extras(obj, {"type", scale_key, "t0", "xi", "field"}, path)
+    scale = _want(obj, scale_key, float, path)
     t0 = _want(obj, "t0", float, path)
     xi = _want(obj, "xi", float, path)
     field = _want(obj, "field", dict, path)
@@ -120,12 +105,35 @@ def _parse_end(obj, path) -> EndConfig:
     coeffs = _want(field, "coeffs", list, fpath)
     if not coeffs:
         raise ConfigError(f"{fpath}.coeffs: must be nonempty")
-    out = []
     for i, c in enumerate(coeffs):
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise ConfigError(f"{fpath}.coeffs[{i}]: expected a number, got {c!r}")
-        out.append(float(c))
-    return EndConfig(type=typ, scale=scale, t0=t0, xi=xi, coeffs=tuple(out))
+    # the model's own invariants, mapped to the end's path
+    try:
+        return cls(**{scale_key: scale}, t0=t0, xi=xi,
+                   field=RadialField(kind=model_kind, coeffs=tuple(coeffs)))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _parse_numerics(obj, path) -> tuple[EndOptions, WeylOptions]:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: must be an object")
+    _no_extras(obj, {"t_max", "quad_tol", "delta", "bracket_C"}, path)
+    t_max = None
+    if obj.get("t_max") is not None:
+        t_max = _want(obj, "t_max", float, path)
+    weyl = {}
+    for key in ("quad_tol", "delta", "bracket_C"):
+        if key in obj:
+            weyl[key] = _want(obj, key, float, path)
+            # WeylOptions checks each field on its own, so building it
+            # from this key alone names the key its error is about
+            try:
+                WeylOptions(**{key: weyl[key]})
+            except ValueError as exc:
+                raise ConfigError(f"{path}.{key}: {exc}") from exc
+    return EndOptions(t_max=t_max), WeylOptions(**weyl)
 
 
 def parse_config(obj) -> SurfaceConfig:
@@ -142,63 +150,31 @@ def parse_config(obj) -> SurfaceConfig:
         raise ConfigError("config.ends: need at least one end")
     ends = tuple(_parse_end(e, f"config.ends[{i}]")
                  for i, e in enumerate(ends_raw))
-    numerics_raw = obj.get("numerics", {})
-    if not isinstance(numerics_raw, dict):
-        raise ConfigError("config.numerics: must be an object")
-    _no_extras(numerics_raw, set(_NUMERIC_DEFAULTS), "config.numerics")
-    path = "config.numerics"
-    grid_n = numerics_raw.get("grid_n", None)
-    if grid_n is not None:
-        grid_n = _want(numerics_raw, "grid_n", int, path)
-        if grid_n < 16:
-            raise ConfigError(f"{path}.grid_n: must be >= 16 or null")
-    t_max = numerics_raw.get("t_max", None)
-    if t_max is not None:
-        t_max = _want(numerics_raw, "t_max", float, path)
-    quad_tol = _want(numerics_raw, "quad_tol", float, path,
-                     required=False, default=_NUMERIC_DEFAULTS["quad_tol"])
-    if not (quad_tol > 0.0):
-        raise ConfigError(f"{path}.quad_tol: must be positive")
-    delta = _want(numerics_raw, "delta", float, path,
-                  required=False, default=_NUMERIC_DEFAULTS["delta"])
-    if not (1.0 / 3.0 < delta < 2.0 / 5.0):
-        raise ConfigError(f"{path}.delta: must lie strictly in (1/3, 2/5)")
-    bracket_C = _want(numerics_raw, "bracket_C", float, path,
-                      required=False, default=_NUMERIC_DEFAULTS["bracket_C"])
-    if bracket_C < 0.0:
-        raise ConfigError(f"{path}.bracket_C: must be >= 0")
-    numerics = NumericsConfig(grid_n=grid_n, t_max=t_max, quad_tol=quad_tol,
-                              delta=delta, bracket_C=bracket_C)
-    cfg = SurfaceConfig(schema_version=version, ends=ends, numerics=numerics)
-    # late structural validation with model-level invariants, mapped to paths
-    for i, e in enumerate(cfg.ends):
-        try:
-            build_end(e)
-        except ValueError as exc:
-            raise ConfigError(f"config.ends[{i}]: {exc}") from exc
-    return cfg
+    end_options, weyl_options = _parse_numerics(obj.get("numerics", {}),
+                                                "config.numerics")
+    return SurfaceConfig(ends=ends, end_options=end_options,
+                         weyl_options=weyl_options)
 
 
 def config_to_dict(cfg: SurfaceConfig) -> dict:
     """Serialized form; parse_config(config_to_dict(cfg)) == cfg."""
     ends = []
-    for e in cfg.ends:
-        scale_key = "tau" if e.type == "funnel" else "L"
-        kind = "cosh-poly" if e.type == "funnel" else "y-poly"
+    for end in cfg.ends:
+        typ = _type_name(end)
+        _, scale_key, kind, _ = _END_TYPES[typ]
         ends.append({
-            "type": e.type,
-            scale_key: e.scale,
-            "t0": e.t0,
-            "xi": e.xi,
-            "field": {"kind": kind, "coeffs": list(e.coeffs)},
+            "type": typ,
+            scale_key: getattr(end, scale_key),
+            "t0": end.t0,
+            "xi": end.xi,
+            "field": {"kind": kind, "coeffs": list(end.field.coeffs)},
         })
-    n = cfg.numerics
+    w = cfg.weyl_options
     return {
-        "schema_version": cfg.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "ends": ends,
-        "numerics": {"grid_n": n.grid_n, "t_max": n.t_max,
-                     "quad_tol": n.quad_tol, "delta": n.delta,
-                     "bracket_C": n.bracket_C},
+        "numerics": {"t_max": cfg.end_options.t_max, "quad_tol": w.quad_tol,
+                     "delta": w.delta, "bracket_C": w.bracket_C},
     }
 
 
@@ -211,35 +187,6 @@ def load_config(path: str) -> SurfaceConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--config: {path} is not valid JSON: {exc}") from exc
     return parse_config(obj)
-
-
-def build_end(e: EndConfig):
-    if e.type == "funnel":
-        field = RadialField(kind=FUNNEL_KIND, coeffs=e.coeffs)
-        return FunnelEnd(tau=e.scale, t0=e.t0, field=field, xi=e.xi)
-    field = RadialField(kind=CUSP_KIND, coeffs=e.coeffs)
-    return CuspEnd(L=e.scale, t0=e.t0, field=field, xi=e.xi)
-
-
-def build_ends(cfg: SurfaceConfig) -> list:
-    """Model ends in config order."""
-    return [build_end(e) for e in cfg.ends]
-
-
-def build_surface(cfg: SurfaceConfig) -> SurfaceEnds:
-    ends = build_ends(cfg)
-    return SurfaceEnds(
-        funnels=tuple(e for e in ends if isinstance(e, FunnelEnd)),
-        cusps=tuple(e for e in ends if isinstance(e, CuspEnd)))
-
-
-def _end_options(cfg: SurfaceConfig) -> EndOptions:
-    return EndOptions(grid_n=cfg.numerics.grid_n, t_max=cfg.numerics.t_max)
-
-
-def _weyl_options(cfg: SurfaceConfig) -> WeylOptions:
-    n = cfg.numerics
-    return WeylOptions(delta=n.delta, bracket_C=n.bracket_C, quad_tol=n.quad_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +250,17 @@ def _parse_lambdas(args) -> list[float]:
 
 
 def _pick_end(cfg: SurfaceConfig, index: int):
-    ends = build_ends(cfg)
-    if not (0 <= index < len(ends)):
-        raise ConfigError(
-            f"--end: index {index} out of range (config has {len(ends)} ends)")
-    return ends[index]
+    if not (0 <= index < len(cfg.ends)):
+        raise ConfigError(f"--end: index {index} out of range "
+                          f"(config has {len(cfg.ends)} ends)")
+    return cfg.ends[index]
 
 
 def _sum_counts(cfg: SurfaceConfig, lam: float):
-    opts = _end_options(cfg)
     total = 0
     converged = True
-    for end in build_ends(cfg):
-        res = count_end(end, lam, opts)
+    for end in cfg.ends:
+        res = count_end(end, lam, cfg.end_options)
         total += res.count
         converged = converged and res.converged
     return total, converged
@@ -341,7 +286,7 @@ def _cmd_sset(args) -> int:
 def _cmd_count_end(args) -> int:
     cfg = load_config(args.config)
     end = _pick_end(cfg, args.end)
-    res = count_end(end, args.lam, _end_options(cfg))
+    res = count_end(end, args.lam, cfg.end_options)
     if args.json:
         payload = {
             "count": res.count,
@@ -359,7 +304,7 @@ def _cmd_count_end(args) -> int:
 
 def _cmd_weyl(args) -> int:
     cfg = load_config(args.config)
-    value = weyl_integral(build_surface(cfg), args.lam, _weyl_options(cfg))
+    value = weyl_integral(cfg.surface, args.lam, cfg.weyl_options)
     print(_jdump(_collapse(value)))
     return 0
 
@@ -367,8 +312,8 @@ def _cmd_weyl(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     lams = _parse_lambdas(args)
-    surface = build_surface(cfg)
-    wopts = _weyl_options(cfg)
+    surface = cfg.surface
+    wopts = cfg.weyl_options
     rows = []
     all_converged = True
     for lam in lams:
@@ -400,7 +345,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_essential(args) -> int:
     cfg = load_config(args.config)
-    spec = essential_spectrum(build_surface(cfg))
+    spec = essential_spectrum(cfg.surface)
     payload = {"bottom": spec.bottom, "points": list(spec.points),
                "empty": spec.empty}
     print(_jdump(payload))
@@ -453,14 +398,14 @@ def _cmd_hypcheck(args) -> int:
     cfg = load_config(args.config)
     reports = []
     all_hold = True
-    for i, end in enumerate(build_ends(cfg)):
+    for i, end in enumerate(cfg.ends):
         grid = np.linspace(end.t0, end.t0 + args.span, args.grid)
         rep = check_growth_hypotheses(end, grid)
         ok = rep.h0 and rep.h1_or_h2
         all_hold = all_hold and ok
         reports.append({
             "index": i,
-            "type": cfg.ends[i].type,
+            "type": _type_name(end),
             "h0": rep.h0,
             "h1_or_h2": rep.h1_or_h2,
             "witness": None if math.isinf(rep.witness) else rep.witness,
@@ -565,9 +510,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,6 @@ import numpy as np
 
 from .landau import ess_bottom, landau_level_set
 from .model import CuspEnd, NonConstantFieldError, SurfaceEnds, gauge_limit
-from .modes import funnel_limit_potential
 from .sturm1d import count_below, discretize, lowest_eigenvalues
 
 # tolerance for deciding that a limiting gauge value is an integer
@@ -127,6 +126,21 @@ class MorseReport:
     computed: tuple[float, ...]
     max_abs_err: float
     converged: bool
+
+
+def funnel_limit_potential(beta: float):
+    """Deep-funnel limit of a constant-field mode, in log coordinates.
+
+    The limit operator acts on the half-line weighted space; substituting
+    y = e^s makes it -d^2/ds^2 + 1/4 + (beta - e^s)^2 on the whole line,
+    whose eigenvalues below 1/4 + beta^2 are exactly the Landau levels.
+    """
+    beta = float(beta)
+
+    def V(s):
+        d = beta - np.exp(np.asarray(s, dtype=float))
+        return 0.25 + d * d
+    return V
 
 
 def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
@@ -238,6 +252,7 @@ __all__ = [
     "holonomy",
     "cusp_is_integral",
     "essential_spectrum",
+    "funnel_limit_potential",
     "morse_check",
     "funnel_mode_limit_check",
 ]

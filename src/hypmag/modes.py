@@ -10,8 +10,9 @@ potentials are
     cusp:    V_ell(t) = e^{2t} (ell - a(t))^2 / L^2 + 1/4,
 
 with a = gauge_function.  Both have the form (ell - a)^2 w + q with the
-same a, w and q for every mode, and both contain the curvature term, so
-no mode eigenvalue lies below 1/4.
+same a, w and q for every mode (mode_potential builds V_ell from them),
+and both contain the curvature term, so no mode eigenvalue lies below
+1/4.
 
 count_end counts an end in two steps on the interval [t0, t_max], whose
 right wall sits where the field intensity stays above 4*lambda.
@@ -43,99 +44,43 @@ from functools import partial
 
 import numpy as np
 
-from .model import (BoundedFieldError, CuspEnd, DomainError, FunnelEnd,
-                    eval_field, gauge_function)
-from .sturm1d import CountResult, mode_counts
+from .model import (BoundedFieldError, DomainError, FunnelEnd, eval_field,
+                    gauge_function)
+from .sturm1d import mode_counts
 
 
-@dataclass(frozen=True, eq=False)
-class ModePotential:
-    """Callable mode potential with its certified analytic floor."""
+@dataclass(frozen=True)
+class CountResult:
+    """An end's eigenvalue count below lam, with the grid that decided it."""
 
-    end: FunnelEnd | CuspEnd | None
-    ell: int | None
-    floor: float
-    t_lo: float
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True, eq=False)
-class _FunnelMode(ModePotential):
-    def __call__(self, t):
-        end = self.end
-        a = gauge_function(end, t)
-        sech2 = 1.0 / np.cosh(np.asarray(t, dtype=float)) ** 2
-        d = self.ell - a
-        return d * d * sech2 / (end.tau * end.tau) + 0.25 * (1.0 + sech2)
+    count: int
+    lam: float
+    n: int
+    t_hi: float
+    mode_range: tuple[int, int] | None = None
+    converged: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class _CuspMode(ModePotential):
-    def __call__(self, t):
-        end = self.end
-        t = np.asarray(t, dtype=float)
-        a = gauge_function(end, t)
-        d = (self.ell - a) * np.exp(t) / end.L
-        return d * d + 0.25
-
-
-@dataclass(frozen=True, eq=False)
-class _FunnelLimit(ModePotential):
-    beta: float = 0.0
-
-    def __call__(self, s):
-        d = self.beta - np.exp(np.asarray(s, dtype=float))
-        return 0.25 + d * d
-
-
-def funnel_mode_potential(end: FunnelEnd, ell: int) -> ModePotential:
-    """Reduced potential of the funnel mode ell."""
-    return _FunnelMode(end=end, ell=int(ell), floor=0.25, t_lo=end.t0)
-
-
-def cusp_mode_potential(end: CuspEnd, ell: int) -> ModePotential:
-    """Reduced potential of the cusp mode ell.
-
-    For a constant field b the potential is (e^t (ell - a_oo)/L - b)^2 + 1/4
-    with a_oo the limiting gauge value, so the mode ell = a_oo (when it is
-    an integer) is identically 1/4 + b^2: the absolutely continuous branch.
-    """
-    return _CuspMode(end=end, ell=int(ell), floor=0.25, t_lo=end.t0)
-
-
-def funnel_limit_potential(beta: float) -> ModePotential:
-    """Deep-funnel limit of a constant-field mode, in log coordinates.
-
-    The limit operator acts on the half-line weighted space; substituting
-    y = e^s makes it -d^2/ds^2 + 1/4 + (beta - e^s)^2 on the whole line,
-    whose eigenvalues below 1/4 + beta^2 are exactly the Landau levels.
-    """
-    return _FunnelLimit(end=None, ell=None, floor=0.25, t_lo=-math.inf,
-                        beta=float(beta))
+# the first shared grid has _POINTS_PER_WAVELENGTH points per shortest
+# local wavelength 2 pi / sqrt(lambda), and at least _N0_MIN points
+_N0_MIN = 48
+# three equal counts are trusted only once the O(h^2) downward bias of
+# the 3-point scheme is below the distance of the nearest eigenvalue to
+# lambda; with 36 the cusp [0, 1] still counts 777 at lambda 1600, one
+# above the dense count
+_POINTS_PER_WAVELENGTH = 72.0
 
 
 @dataclass(frozen=True)
 class EndOptions:
     """Controls for the mode sweep of a single end.
 
-    grid_n fixes the interior points of the first shared grid, which is
-    otherwise points_per_wavelength points per shortest local wavelength
-    2 pi / sqrt(lambda), and at least n0_min.  t_max fixes the right
-    Dirichlet wall.  A window of more than max_modes modes is not swept,
-    and a mode still unsettled after max_refinements grids is reported
-    with converged=False.
+    t_max fixes the right Dirichlet wall.  A window of more than
+    max_modes modes is not swept, and a mode still unsettled after
+    max_refinements grids is reported with converged=False.
     """
 
-    grid_n: int | None = None
     t_max: float | None = None
-    n0_min: int = 48
-    # three equal counts are trusted only once the O(h^2) downward bias of
-    # the 3-point scheme is below the distance of the nearest eigenvalue
-    # to lambda; with 36 the cusp [0, 1] still counts 777 at lambda 1600,
-    # one above the dense count
-    points_per_wavelength: float = 72.0
     max_modes: int = 200000
     max_refinements: int = 8
 
@@ -164,16 +109,30 @@ def _coefficients(end, t):
     return a, np.exp(2.0 * t) / (end.L * end.L), np.full_like(t, 0.25)
 
 
+def mode_potential(end, ell: int):
+    """Reduced potential t -> (ell - a(t))^2 w(t) + q(t) of the mode ell.
+
+    For a constant-field cusp the potential is (e^t (ell - a_oo)/L - b)^2
+    + 1/4 with a_oo the limiting gauge value, so the mode ell = a_oo (when
+    it is an integer) is identically 1/4 + b^2: the absolutely continuous
+    branch.
+    """
+    ell = int(ell)
+
+    def V(t):
+        a, w, q = _coefficients(end, t)
+        return (ell - a) ** 2 * w + q
+    return V
+
+
 def _shared_grid(end, lam: float, opts: EndOptions) -> tuple[float, int]:
     """Right wall and interior point count of the first shared grid."""
     t0 = float(end.t0)
     t_max = float(opts.t_max) if opts.t_max is not None else _auto_t_max(end, lam)
     if not (t_max > t0):
         raise ValueError(f"t_max={t_max} must exceed t0={t0}")
-    if opts.grid_n is not None:
-        return t_max, int(opts.grid_n)
-    per_unit = math.sqrt(lam) * opts.points_per_wavelength / (2.0 * math.pi)
-    return t_max, max(int(opts.n0_min), int((t_max - t0) * per_unit) + 1)
+    per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
+    return t_max, max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
 
 
 # the lower-bound certificates (theta, s): theta = 0 is the potential
@@ -233,8 +192,12 @@ def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
     for lo, hi in _window_chunks(end, t_max, n, lam):
         ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
         ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
-    base = math.ceil(float(np.max(ell_lo)))
-    top = math.floor(float(np.min(ell_hi)))
+    lo, hi = float(np.max(ell_lo)), float(np.min(ell_hi))
+    # a certificate that covers every mode on every sample leaves its
+    # hull empty (lo = +inf, hi = -inf): then no mode is uncovered
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return np.empty(0, dtype=np.int64)
+    base, top = math.ceil(lo), math.floor(hi)
     if top < base:
         return np.empty(0, dtype=np.int64)
     # second pass: per certificate, a difference array over base..top + 1
@@ -266,36 +229,31 @@ def mode_window(end, lam: float, opts: EndOptions | None = None) -> np.ndarray:
     return _window(end, lam, t_max, n)
 
 
-@dataclass(frozen=True)
-class _ScanResult:
-    ells: np.ndarray
-    counts: np.ndarray
-    n: int
-    t_hi: float
-    converged: bool
+def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
+    """Dirichlet eigenvalue count of the end below lam, summed over modes.
 
-    @property
-    def mode_range(self) -> tuple[int, int] | None:
-        live = self.ells[self.counts > 0]
-        if live.size == 0:
-            return None
-        return (int(live[0]), int(live[-1]))
-
-
-def _scan_modes(end, lam: float, opts: EndOptions | None = None) -> _ScanResult:
+    The end is cut at t_hi (EndOptions.t_max, or where the field
+    intensity stays above 4*lambda) with a Dirichlet wall there.  n is
+    the number of interior points of the finest shared grid any mode of
+    the window was counted on, and mode_range the smallest interval
+    holding every mode with an eigenvalue below lam (None when no mode
+    contributes).  converged is False when a mode's count did not settle
+    within max_refinements grids, or when the window held more than
+    max_modes modes; the window is then not swept and the count is 0.
+    """
     opts = opts or EndOptions()
     if not end.field.unbounded:
         raise BoundedFieldError(
             "constant field: the essential spectrum reaches lambda and the "
             "mode sum diverges")
     lam = float(lam)
-    none = np.empty(0, dtype=np.int64)
     if lam <= 0.25:
-        return _ScanResult(none, none, n=0, t_hi=float(end.t0), converged=True)
+        return CountResult(count=0, lam=lam, n=0, t_hi=float(end.t0),
+                           converged=True)
     t_max, n = _shared_grid(end, lam, opts)
     ells = _window(end, lam, t_max, n)
     if ells.size > opts.max_modes:
-        return _ScanResult(none, none, n=n, t_hi=t_max, converged=False)
+        return CountResult(count=0, lam=lam, n=n, t_hi=t_max, converged=False)
     coeffs = partial(_coefficients, end)
     counts = np.zeros(ells.size, dtype=np.int64)
     runs = np.zeros(ells.size, dtype=np.int64)
@@ -309,31 +267,7 @@ def _scan_modes(end, lam: float, opts: EndOptions | None = None) -> _ScanResult:
         active = active[runs[active] < 3]
         if active.size == 0:
             break
-    return _ScanResult(ells, counts, n=n, t_hi=t_max,
-                       converged=active.size == 0)
-
-
-def mode_range(end, lam: float, opts: EndOptions | None = None) -> tuple[int, int] | None:
-    """Smallest interval holding every mode with an eigenvalue below lam.
-
-    Returns None when no mode contributes (in particular for lam <= 1/4,
-    below the universal potential floor).
-    """
-    return _scan_modes(end, lam, opts).mode_range
-
-
-def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
-    """Dirichlet eigenvalue count of the end below lam, summed over modes.
-
-    The end is cut at t_hi (EndOptions.t_max, or where the field
-    intensity stays above 4*lambda) with a Dirichlet wall there.  n is
-    the number of interior points of the finest shared grid any mode of
-    the window was counted on.  converged is False when a mode's count
-    did not settle within max_refinements grids, or when the window held
-    more than max_modes modes; the window is then not swept and the count
-    is 0.
-    """
-    scan = _scan_modes(end, lam, opts)
-    return CountResult(count=int(scan.counts.sum()), lam=float(lam), n=scan.n,
-                       t_hi=scan.t_hi, mode_range=scan.mode_range,
-                       converged=scan.converged)
+    live = ells[counts > 0]
+    mode_range = (int(live[0]), int(live[-1])) if live.size else None
+    return CountResult(count=int(counts.sum()), lam=lam, n=n, t_hi=t_max,
+                       mode_range=mode_range, converged=active.size == 0)

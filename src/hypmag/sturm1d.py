@@ -10,15 +10,10 @@ bounds, so they inherit its robustness.
 
 count_below sweeps one operator; mode_counts sweeps a whole family of
 operators (ell - a)^2 w + q that share a grid, vectorised over ell.
-
-Half-infinite problems are truncated on the right where the potential
-has safely entered the forbidden region (V >= 2 lambda) and the count is
-re-run on refined grids until it stops moving.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,123 +215,3 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> li
                 lo = mid
         out.append(0.5 * (lo + hi))
     return out
-
-
-@dataclass(frozen=True)
-class CountOptions:
-    """Knobs for count_stable's truncation and refinement loop."""
-
-    n0: int = 128
-    t_hi0: float | None = None
-    max_refinements: int = 10
-    tail_span: float = 2.0
-    tail_samples: int = 17
-    search_limit: float = 200.0
-
-
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    lam: float
-    n: int
-    t_hi: float
-    mode_range: tuple[int, int] | None = None
-    converged: bool = False
-
-
-def _tail_ok(V, t_hi, lam, opts) -> bool:
-    xs = np.linspace(t_hi, t_hi + opts.tail_span, opts.tail_samples)
-    return bool(np.all(_veval(V, xs) >= 2.0 * lam))
-
-
-def _no_tail_error(t_lo, lam, span):
-    return ValueError(
-        f"potential does not settle above 2*lambda={2 * lam} within "
-        f"{span} units of t_lo={t_lo}; cannot truncate")
-
-
-def _v1(V, x: float) -> float:
-    return float(_veval(V, np.array([x]))[0])
-
-
-def _initial_t_hi(V, t_lo, lam, opts) -> float:
-    limit = t_lo + opts.search_limit
-    thresh = 2.0 * lam
-    if opts.t_hi0 is not None:
-        t_hi = max(float(opts.t_hi0), t_lo + 1e-6)
-    else:
-        # March outward tracking the last sample still below 2*lambda;
-        # accept once a full tail_span of samples beyond it is forbidden,
-        # then sharpen that final upward crossing.  A wall close to the
-        # crossing keeps the truncation shift above the scheme's downward
-        # bias, so a threshold sitting exactly on an eigenvalue resolves
-        # to the strict count.
-        step = 0.5
-        last_low = None
-        t_hi = None
-        x = t_lo
-        while x <= limit:
-            if _v1(V, x) < thresh:
-                last_low = x
-            elif last_low is not None and x - last_low >= opts.tail_span:
-                lo, hi = last_low, last_low + step
-                for _ in range(30):
-                    mid = 0.5 * (lo + hi)
-                    if _v1(V, mid) >= thresh:
-                        hi = mid
-                    else:
-                        lo = mid
-                t_hi = hi
-                break
-            x += step
-        if t_hi is None:
-            if last_low is None:
-                # no sampled point is classically reachable below
-                # 2*lambda; keep a token window, the positivity shortcut
-                # in count_stable certifies the zero count
-                t_hi = t_lo + opts.tail_span
-            else:
-                raise _no_tail_error(t_lo, lam, opts.search_limit)
-    while not _tail_ok(V, t_hi, lam, opts):
-        t_hi += opts.tail_span
-        if t_hi > limit:
-            raise _no_tail_error(t_lo, lam, opts.search_limit)
-    return t_hi
-
-
-def count_stable(V, t_lo: float, lam: float, opts: CountOptions | None = None) -> CountResult:
-    """Grid-stabilized count of Dirichlet eigenvalues of -d''+V below lam.
-
-    Doubles the interior grid (and, if the tail check demands it, pushes
-    the truncation point out) until the count is unchanged over two
-    successive refinements.  A count that never settles is returned with
-    converged=False rather than guessed at.
-    """
-    opts = opts or CountOptions()
-    lam = float(lam)
-    t_hi = _initial_t_hi(V, t_lo, lam, opts)
-    # resolution floor of ~13 points per local wavelength: judging count
-    # stability on coarser grids risks freezing before the h^2 bias has
-    # dropped below the truncation shift of a near-threshold eigenvalue
-    n_floor = int(2.0 * (t_hi - t_lo) * math.sqrt(2.0 * max(lam, 1.0))) + 1
-    n = max(2, int(opts.n0), n_floor)
-    counts: list[int] = []
-    converged = False
-    for _ in range(max(1, opts.max_refinements)):
-        T = discretize(V, t_lo, t_hi, n)
-        vmin = float(np.min(T.diag)) - 2.0 / (T.h * T.h)
-        if lam <= vmin:
-            # -d'' is positive definite, so T - lam >= diag(V - lam) >= 0:
-            # the certified count is 0 with no refinement needed.
-            counts.append(0)
-            converged = True
-            break
-        counts.append(count_below(T, lam))
-        if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
-            converged = True
-            break
-        n *= 2
-        if not _tail_ok(V, t_hi, lam, opts):
-            t_hi += opts.tail_span
-    return CountResult(count=counts[-1], lam=lam, n=n, t_hi=t_hi,
-                       mode_range=None, converged=converged)

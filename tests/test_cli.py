@@ -179,6 +179,16 @@ class TestCompare:
         assert dest.read_bytes() == COMPARE_CSV.encode()
 
 
+class TestEmptyEnd:
+    def test_count_end_every_mode_empty(self, capsys, tmp_path):
+        # b~ >= 50 on the whole cusp: the mode window is empty at lambda 10
+        steep = cusp_linear_end(field={"kind": "y-poly", "coeffs": [50.0, 1.0]})
+        path = write_config(tmp_path / "steep.json", [steep])
+        rc, out, err = run_main(capsys, "count-end", "--config", path,
+                                "--end", "0", "--lambda", "10")
+        assert (rc, out, err) == (0, "0\n", "")
+
+
 class TestExitCodes:
     def test_nonconverged_is_two_with_output(self, capsys):
         # the window clips the well, so the doubled-window check must flag
@@ -270,11 +280,18 @@ class TestErrorPaths:
         rc, out, err = run_main(capsys, "essential", "--config", path)
         assert rc == 1
         assert "config.numerics.delta" in err
+        for key, bad in (("quad_tol", 0.0), ("bracket_C", -1.0)):
+            path = write_config(tmp_path / f"{key}.json", [cusp_linear_end()],
+                                **{key: bad})
+            rc, out, err = run_main(capsys, "essential", "--config", path)
+            assert rc == 1
+            assert f"config.numerics.{key}:" in err
+        # the first grid follows from lambda; a caller-chosen one is gone
         path = write_config(tmp_path / "num2.json", [cusp_linear_end()],
                             grid_n=4)
         rc, out, err = run_main(capsys, "essential", "--config", path)
         assert rc == 1
-        assert "grid_n" in err
+        assert "config.numerics.grid_n: unknown field" in err
 
     def test_model_invariants_mapped_to_path(self, capsys, tmp_path):
         path = write_config(tmp_path / "tau.json",
@@ -313,7 +330,7 @@ class TestConfigRoundTrip:
         obj = {
             "schema_version": 1,
             "ends": [cusp_linear_end(L=1.2, xi=0.5), funnel_cosh_end(tau=0.7)],
-            "numerics": {"grid_n": 4096, "quad_tol": 1e-7, "delta": 0.36},
+            "numerics": {"t_max": 7.5, "quad_tol": 1e-7, "delta": 0.36},
         }
         cfg = parse_config(obj)
         assert parse_config(config_to_dict(cfg)) == cfg
@@ -322,7 +339,7 @@ class TestConfigRoundTrip:
         path = write_config(tmp_path / "min.json", [cusp_linear_end()])
         cfg = load_config(path)
         assert parse_config(config_to_dict(cfg)) == cfg
-        assert cfg.numerics.delta == 0.35
+        assert cfg.weyl_options.delta == 0.35
 
     def test_parse_rejects_non_object(self):
         with pytest.raises(ConfigError):

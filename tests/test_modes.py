@@ -1,15 +1,12 @@
 """Mode potentials, the mode window and the batched sweep behind count_end."""
 
-import math
-
 import numpy as np
 import pytest
 
 from conftest import (dense_lowest_eigenvalue, dense_mode_count,
                       make_cusp, make_funnel)
 from hypmag import (BoundedFieldError, EndOptions, count_end,
-                    cusp_mode_potential, funnel_limit_potential,
-                    funnel_mode_potential, mode_range)
+                    funnel_limit_potential, mode_potential)
 from hypmag.modes import mode_window
 
 
@@ -19,7 +16,7 @@ class TestModePotentials:
         beta, tau, xi = 2.0, 0.7, 0.3
         end = make_funnel([beta], tau=tau, xi=xi)
         for ell in (-2, 0, 3):
-            V = funnel_mode_potential(end, ell)
+            V = mode_potential(end, ell)
             ts = np.linspace(0.0, 4.0, 41)
             a = xi - tau * beta * np.sinh(ts)
             sech2 = 1.0 / np.cosh(ts) ** 2
@@ -30,7 +27,7 @@ class TestModePotentials:
         # b~ = y gives a(t) = -(t - t0) for L = 1, xi = 0
         end = make_cusp([0.0, 1.0])
         for ell in (-4, 0, 2):
-            V = cusp_mode_potential(end, ell)
+            V = mode_potential(end, ell)
             ts = np.linspace(0.0, 5.0, 41)
             expected = np.exp(2.0 * ts) * (ell + ts) ** 2 + 0.25
             assert np.allclose(V(ts), expected, rtol=1e-13)
@@ -40,7 +37,7 @@ class TestModePotentials:
         # is identically 1/4 + b^2: the absolutely continuous branch
         b, L = 3.0, 1.0
         end = make_cusp([b], L=L, xi=2.0 + L * b)
-        V = cusp_mode_potential(end, 2)
+        V = mode_potential(end, 2)
         ts = np.linspace(0.0, 8.0, 33)
         assert np.allclose(V(ts), 0.25 + b * b, rtol=1e-12)
 
@@ -54,23 +51,17 @@ class TestModePotentials:
         ts = np.linspace(0.0, 6.0, 400)
         for end, ells in ends_modes:
             for ell in ells:
-                V = (funnel_mode_potential if hasattr(end, "tau")
-                     else cusp_mode_potential)(end, ell)
-                assert V.floor == 0.25
-                assert np.min(V(ts)) >= 0.25
+                assert np.min(mode_potential(end, ell)(ts)) >= 0.25
 
     def test_funnel_limit_formula(self):
         V = funnel_limit_potential(1.5)
         ss = np.linspace(-10.0, 3.0, 50)
         assert np.allclose(V(ss), 0.25 + (1.5 - np.exp(ss)) ** 2, rtol=1e-14)
-        assert V.floor == 0.25
-        assert V.t_lo == -math.inf
 
 
 def oracle_end_count(end, lam, ell_lo, ell_hi, t_hi, n):
     """Sum of dense per-mode counts over an exhaustive mode window."""
-    make = funnel_mode_potential if hasattr(end, "tau") else cusp_mode_potential
-    return sum(dense_mode_count(make(end, ell), end.t0, t_hi, n, lam)
+    return sum(dense_mode_count(mode_potential(end, ell), end.t0, t_hi, n, lam)
                for ell in range(ell_lo, ell_hi + 1))
 
 
@@ -180,15 +171,22 @@ class TestScanEdgeCases:
             assert res.count == 0
             assert res.converged
             assert res.mode_range is None
-            assert mode_range(end, lam) is None
             assert mode_window(end, lam).size == 0
+
+    def test_every_mode_certified_empty(self):
+        # b~ >= 50 on the whole end, so the bound with theta = 0.95,
+        # s = +1 stays above 43 > lambda for every mode on every sample
+        for end in (make_cusp([50.0, 1.0]), make_funnel([50.0, 1.0])):
+            assert mode_window(end, 10.0).size == 0
+            res = count_end(end, 10.0)
+            assert res.count == 0
+            assert res.converged
+            assert res.mode_range is None
 
     def test_constant_field_rejected(self):
         for end in (make_cusp([2.0]), make_funnel([1.5])):
             with pytest.raises(BoundedFieldError):
                 count_end(end, 10.0)
-            with pytest.raises(BoundedFieldError):
-                mode_range(end, 10.0)
 
     def test_bounded_nonconstant_also_rejected(self):
         # degree 0 with extra zero coefficients is still bounded
@@ -198,13 +196,7 @@ class TestScanEdgeCases:
 
     def test_mode_range_matches_counted_window(self):
         end = make_cusp([0.0, 1.0])
-        assert mode_range(end, 100.0) == (-6, 6)
-
-    def test_grid_override(self):
-        end = make_cusp([0.0, 1.0])
-        res = count_end(end, 30.0, EndOptions(grid_n=4096))
-        assert res.converged
-        assert res.count == 13
+        assert count_end(end, 100.0).mode_range == (-6, 6)
 
     def test_t_max_must_exceed_t0(self):
         end = make_cusp([0.0, 1.0])
@@ -249,9 +241,9 @@ class TestModeWindow:
         inside = set(window.tolist())
         outside = sorted({ell + d for ell in inside for d in (-1, 1)} - inside)
         assert outside
-        make = funnel_mode_potential if hasattr(end, "tau") else cusp_mode_potential
         for ell in outside:
-            e0 = dense_lowest_eigenvalue(make(end, ell), end.t0, res.t_hi, 6000)
+            e0 = dense_lowest_eigenvalue(mode_potential(end, ell), end.t0,
+                                         res.t_hi, 6000)
             assert e0 >= lam, (ell, e0)
 
     def test_wider_than_max_modes_is_not_converged(self):

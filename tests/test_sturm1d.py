@@ -1,13 +1,13 @@
-"""Inertia counting, bisection eigenvalues, and stabilized truncation."""
+"""Inertia counting, batched mode counts and bisection eigenvalues."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dense_count_below, dense_eigenvalues, dense_mode_count
-from hypmag import (CountOptions, TridiagonalOperator, count_below,
-                    count_stable, discretize, lowest_eigenvalues)
+from conftest import dense_count_below, dense_eigenvalues
+from hypmag import (TridiagonalOperator, count_below, discretize,
+                    lowest_eigenvalues)
 from hypmag.sturm1d import mode_counts
 
 
@@ -137,52 +137,6 @@ class TestLowestEigenvalues:
             lowest_eigenvalues(T, 1, tol=0.0)
 
 
-class TestCountStable:
-    def test_harmonic_oscillator(self):
-        # V = t^2 with the left wall far out mimics the full line:
-        # levels 1, 3, 5, 7, 9, so 5 below 10
-        res = count_stable(lambda t: t * t, -8.0, 10.0)
-        assert res.converged
-        assert res.count == 5
-        assert res.count == dense_mode_count(lambda t: t * t, -8.0, 8.0,
-                                             6000, 10.0)
-
-    def test_threshold_on_eigenvalue_is_strict(self):
-        # lam = 9 hits the 5th level; the count must stay at 4
-        res = count_stable(lambda t: t * t, -8.0, 9.0)
-        assert res.converged
-        assert res.count == 4
-
-    def test_offset_well(self):
-        res = count_stable(lambda t: (t - 5.0) ** 2, 0.0, 8.0)
-        assert res.converged
-        assert res.count == 4
-        assert res.count == dense_mode_count(lambda t: (t - 5.0) ** 2, 0.0,
-                                             12.0, 6000, 8.0)
-
-    def test_positivity_shortcut(self):
-        res = count_stable(lambda t: t * t + 100.0, 0.0, 5.0)
-        assert res.converged
-        assert res.count == 0
-
-    def test_no_truncation_point_raises(self):
-        with pytest.raises(ValueError):
-            count_stable(lambda t: 0.0 * t, 0.0, 1.0,
-                         CountOptions(search_limit=30.0))
-
-    def test_explicit_truncation_honored(self):
-        res = count_stable(lambda t: t * t, -8.0, 10.0,
-                           CountOptions(t_hi0=6.0))
-        assert res.t_hi >= 6.0
-        assert res.count == 5
-
-    def test_result_fields(self):
-        res = count_stable(lambda t: t * t, -8.0, 10.0)
-        assert res.lam == 10.0
-        assert res.n >= 2
-        assert res.mode_range is None
-
-
 def wavy_coeffs(t):
     """A mode family (ell - a)^2 w + q with a turning gauge."""
     return 3.0 * np.sin(t), 1.0 + t, 0.25 + 0.0 * t
@@ -241,6 +195,21 @@ class TestModeCounts:
             T = discretize(lambda t: dips(t)[2], 0.0, n + 1.0, n)
             got = mode_counts(dips, 0.0, n + 1.0, n, np.arange(20), 2.0)
             assert got.tolist() == [count_below(T, 2.0)] * 20
+
+    def test_harmonic_oscillator(self):
+        # w = 0, q = t^2: the levels 2k + 1 of the full line, which the
+        # walls at -8 and 8 move far less than their distance to lambda
+        def well(t):
+            return 0.0 * t, 0.0 * t, t * t
+        got = mode_counts(well, -8.0, 8.0, 2000, np.arange(-3, 4), 10.0)
+        assert got.tolist() == [5] * 7
+
+    def test_offset_well(self):
+        # the well (t - 5)^2 on [0, 12] has the levels 1, 3, 5, 7 below 8
+        def well(t):
+            return 0.0 * t, 0.0 * t, (t - 5.0) ** 2
+        got = mode_counts(well, 0.0, 12.0, 2000, np.arange(-3, 4), 8.0)
+        assert got.tolist() == [4] * 7
 
     def test_empty_family(self):
         got = mode_counts(wavy_coeffs, 0.0, 1.0, 8, [], 5.0)
