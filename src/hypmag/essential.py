@@ -117,6 +117,8 @@ class MorseOptions:
             raise ValueError("need at least 16 interior points")
         if self.margin < 0.0:
             raise ValueError("margin must be >= 0")
+        if not (self.eig_tol > 0.0 and self.window_tol >= 0.0):
+            raise ValueError("need eig_tol > 0 and window_tol >= 0")
 
 
 @dataclass(frozen=True)

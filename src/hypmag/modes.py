@@ -84,6 +84,12 @@ class EndOptions:
     max_modes: int = 200000
     max_refinements: int = 8
 
+    def __post_init__(self):
+        if self.t_max is not None and not math.isfinite(self.t_max):
+            raise ValueError(f"t_max must be finite, got {self.t_max}")
+        if self.max_modes < 1 or self.max_refinements < 1:
+            raise ValueError("max_modes and max_refinements must be >= 1")
+
 
 def _auto_t_max(end, lam: float) -> float:
     """First radius beyond which the intensity stays above 4*lambda."""
@@ -100,13 +106,21 @@ def _auto_t_max(end, lam: float) -> float:
 
 
 def _coefficients(end, t):
-    """(a, w, q) of the mode potentials (ell - a)^2 w + q at t."""
+    """(a, w, q) of the mode potentials (ell - a)^2 w + q at t, all finite."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(gauge_function(end, t), dtype=float)
     if isinstance(end, FunnelEnd):
         sech2 = 1.0 / np.cosh(t) ** 2
-        return a, sech2 / (end.tau * end.tau), 0.25 * (1.0 + sech2)
-    return a, np.exp(2.0 * t) / (end.L * end.L), np.full_like(t, 0.25)
+        w, q = sech2 / (end.tau * end.tau), 0.25 * (1.0 + sech2)
+    else:
+        with np.errstate(over="ignore"):  # e^{2t} overflows past t = 354.89
+            w = np.exp(2.0 * t) / (end.L * end.L)
+        q = np.full_like(t, 0.25)
+    for name, x in (("a", a), ("w", w), ("q", q)):
+        if not np.isfinite(x).all():
+            bad = float(t.flat[np.argmin(np.isfinite(x))])
+            raise DomainError(f"mode coefficient {name} is not finite at t={bad!r}")
+    return a, w, q
 
 
 def mode_potential(end, ell: int):
@@ -258,7 +272,7 @@ def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
     counts = np.zeros(ells.size, dtype=np.int64)
     runs = np.zeros(ells.size, dtype=np.int64)
     active = np.arange(ells.size)
-    for sweep in range(max(1, opts.max_refinements)):
+    for sweep in range(opts.max_refinements):
         if sweep:
             n *= 2
         c = mode_counts(coeffs, float(end.t0), t_max, n, ells[active], lam)

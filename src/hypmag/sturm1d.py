@@ -8,13 +8,18 @@ number of eigenvalues of T strictly below lambda.  Individual
 eigenvalues come from bisection on that count between the Gershgorin
 bounds, so they inherit its robustness.
 
-count_below sweeps one operator; mode_counts sweeps a whole family of
-operators (ell - a)^2 w + q that share a grid, vectorised over ell.
+count_below sweeps one operator with a scalar pivot recurrence on Python
+floats (about 0.1 us per point).  mode_counts sweeps a family of
+operators (ell - a)^2 w + q on one grid: mode by mode on that recurrence
+up to _NARROW modes, beyond that in numpy lockstep over the modes, whose
+call overhead (about 1.5 us per grid row) is then the smaller cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -95,29 +100,39 @@ def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
 def count_below(T: TridiagonalOperator, lam: float) -> int:
     """Number of eigenvalues of T strictly below lam (Sylvester inertia)."""
     lam = float(lam)
-    # memoryviews of the float64 arrays yield Python floats: the same IEEE
-    # arithmetic as numpy scalars, at a fraction of the cost per point
-    diag = memoryview(T.diag)
-    d = diag[0] - lam
-    if d == 0.0:
-        # Nudge zero pivots positive: an eigenvalue sitting exactly at
-        # lam must never enter the strictly-below count.
-        d = _EPS * (abs(diag[0] - lam) + 1.0)
-    count = 1 if d < 0.0 else 0
-    for di, c in zip(diag[1:], memoryview(T.off)):
-        c2 = c * c
-        d = (di - lam) - c2 / d
-        if d == 0.0:
-            d = _EPS * (abs(di - lam) + c2 + 1.0)
-        if d < 0.0:
-            count += 1
+    c2 = np.concatenate(([0.0], T.off * T.off))
+    count, d = 0, math.inf
+    for lo in range(0, T.n, _COEFF_ROWS):
+        part = slice(lo, lo + _COEFF_ROWS)
+        k, d = _pivot_sweep((T.diag[part] - lam).tolist(), c2[part].tolist(), d)
+        count += k
     return count
 
 
-# cells (grid rows times modes) of one block of mode_counts
-_BLOCK_CELLS = 16384
-# grid rows per evaluation of the coefficient callable in mode_counts
+def _pivot_sweep(alpha, c2s, d):
+    """(negative pivots, last pivot) of the LDL^T recurrence over some rows.
+
+    alpha holds diagonal entries minus lambda, c2s the squared couplings
+    to the row before, whose pivot is d (d = inf and c2 = 0 before the
+    first row).  Zero pivots are nudged positive: an eigenvalue exactly
+    at lambda must not enter the strict count.
+    """
+    count = 0
+    for a, c2 in zip(alpha, c2s):
+        d = a - c2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = _EPS * (abs(a) + c2 + 1.0)
+    return count, d
+
+
+# grid rows per coefficient evaluation and per scalar sweep
 _COEFF_ROWS = 1024
+# cells (grid rows times modes) of one lockstep block of mode_counts
+_BLOCK_CELLS = 16384
+# widest batch mode_counts runs mode by mode on the scalar recurrence
+_NARROW = 16
 
 
 def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
@@ -127,12 +142,15 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     coeffs(t) returns arrays (a, w, q) on the grid points t; the operator
     of the mode ell is -d^2/dt^2 + (ell - a)^2 w + q on (t_lo, t_hi), with
     Dirichlet ends and the 3-point scheme on n interior points, as in
-    discretize.  One LDL^T pivot recurrence runs down the grid for all
-    modes at once (the lockstep of LAPACK xLAEBZ), in blocks of about
-    _BLOCK_CELLS grid cells.  A block whose pivots are all nonzero is
-    exact as it stands; a block with a zero pivot is redone row by row
-    with the nudge of count_below, so every count equals count_below on
-    the mode's own operator up to the rounding of its diagonal.
+    discretize.  Each count equals count_below on the mode's own operator
+    up to the rounding of its diagonal; memory does not grow with n.
+
+    Up to _NARROW modes run one by one on the scalar recurrence of
+    count_below (about 0.1 us per point and mode); more run it for all
+    modes at once down the grid (the lockstep of LAPACK xLAEBZ), in
+    blocks of about _BLOCK_CELLS cells, at two numpy calls (about 1.5 us)
+    per row whatever the width.  The forms cross near 16 modes.  A
+    lockstep block with a zero pivot is redone on the scalar recurrence.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -148,68 +166,74 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     inv_h2 = 1.0 / (h * h)
     c2 = inv_h2 * inv_h2
     rows = max(1, min(_BLOCK_CELLS // m, _COEFF_ROWS))
-    tmp = np.empty(m)
-    prev = None
+    divide, subtract = np.divide, np.subtract
+    prev = np.full(m, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         for c_lo in range(0, n, _COEFF_ROWS):
             c_hi = min(n, c_lo + _COEFF_ROWS)
             a, w, q = coeffs(t_lo + h * np.arange(c_lo + 1, c_hi + 1))
             for b_lo in range(0, c_hi - c_lo, rows):
-                b_hi = min(c_hi - c_lo, b_lo + rows)
+                part = slice(b_lo, b_lo + rows)
                 # alpha = (2/h^2 + (ell - a)^2 w + q) - lam, built in place
-                alpha = ells - a[b_lo:b_hi, None]
+                alpha = ells - a[part, None]
                 alpha *= alpha
-                alpha *= w[b_lo:b_hi, None]
-                alpha += q[b_lo:b_hi, None]
+                alpha *= w[part, None]
+                alpha += q[part, None]
                 np.add(2.0 * inv_h2, alpha, out=alpha)
                 alpha -= lam
-                piv = np.empty_like(alpha)
-                if prev is None:
-                    piv[0] = alpha[0]
-                else:
-                    np.divide(c2, prev, out=tmp)
-                    np.subtract(alpha[0], tmp, out=piv[0])
-                for i in range(1, b_hi - b_lo):
-                    np.divide(c2, piv[i - 1], out=tmp)
-                    np.subtract(alpha[i], tmp, out=piv[i])
-                if not piv.all():
-                    _nudged_rows(alpha, c2, prev, piv)
-                counts += (piv < 0.0).sum(axis=0)
-                prev = piv[-1].copy()
+                if m > _NARROW:
+                    piv = np.empty_like(alpha)
+                    p = prev
+                    for a_row, p_row in zip(alpha, piv):
+                        divide(c2, p, p_row)
+                        subtract(a_row, p_row, p_row)
+                        p = p_row
+                    if piv.all():
+                        counts += (piv < 0.0).sum(axis=0)
+                        prev = piv[-1].copy()
+                        continue
+                for j, col in enumerate(alpha.T.tolist()):
+                    c2s = repeat(c2) if c_lo + b_lo else chain((0.0,), repeat(c2))
+                    k, prev[j] = _pivot_sweep(col, c2s, float(prev[j]))
+                    counts[j] += k
     return counts
-
-
-def _nudged_rows(alpha, c2, prev, piv):
-    """Redo a block's pivots row by row, nudging zero pivots positive."""
-    for i in range(alpha.shape[0]):
-        if prev is None:
-            d = alpha[i].copy()
-            nudge = _EPS * (np.abs(alpha[i]) + 1.0)
-        else:
-            d = alpha[i] - c2 / prev
-            nudge = _EPS * (np.abs(alpha[i]) + c2 + 1.0)
-        zero = d == 0.0
-        d[zero] = nudge[zero]
-        piv[i] = d
-        prev = d
 
 
 def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> list[float]:
     """The k smallest eigenvalues by bisection on the inertia count.
 
     Multiple eigenvalues come out as repeated values agreeing to tol.
+    Each is bisected from [glo - 1, ghi + 1] (Gershgorin bounds) until the
+    bracket is narrower than tol or its midpoint rounds to an end.  As in
+    LAPACK xSTEBZ, every count narrows the brackets of all indices (the
+    count is monotone in IEEE arithmetic too: Demmel, Dhillon & Ren, ETNA
+    3, 1995).  Counts at glo + 2^i, until k eigenvalues lie below, spare
+    the descent from ghi, near 4/h^2 on a discretized grid.
     """
     if not (1 <= k <= T.n):
         raise ValueError(f"k must be in 1..{T.n}, got {k}")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     glo, ghi = T.gershgorin()
+    # largest (smallest) points known to have < j (>= j) eigenvalues below
+    under, over = [-math.inf] * (k + 1), [math.inf] * (k + 1)
+
+    def count(x):
+        c = count_below(T, x)
+        over[1:c + 1] = [min(o, x) for o in over[1:c + 1]]
+        under[c + 1:] = [max(u, x) for u in under[c + 1:]]
+        return c
+    step = 1.0
+    while glo + step < ghi + 1.0 and count(glo + step) < k:
+        step *= 2.0
     out = []
     for j in range(1, k + 1):
         lo, hi = glo - 1.0, ghi + 1.0
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if count_below(T, mid) >= j:
+            if mid == lo or mid == hi:
+                break
+            if mid >= over[j] or (mid > under[j] and count(mid) >= j):
                 hi = mid
             else:
                 lo = mid

@@ -293,6 +293,24 @@ class TestErrorPaths:
         assert rc == 1
         assert "config.numerics.grid_n: unknown field" in err
 
+    def test_t_max_must_be_finite(self, capsys, tmp_path):
+        path = write_config(tmp_path / "inf.json", [cusp_linear_end()],
+                            t_max=float("inf"))
+        rc, out, err = run_main(capsys, "count-end", "--config", path,
+                                "--end", "0", "--lambda", "50")
+        assert (rc, out) == (1, "")
+        assert "config.numerics.t_max:" in err
+
+    def test_cusp_wall_past_overflow(self, capsys, tmp_path):
+        # e^{2t} overflows on the cusp before the wall at t = 400: an
+        # error, not a count of 0
+        path = write_config(tmp_path / "far.json", [cusp_linear_end()],
+                            t_max=400.0)
+        rc, out, err = run_main(capsys, "count-end", "--config", path,
+                                "--end", "0", "--lambda", "50")
+        assert (rc, out) == (1, "")
+        assert "not finite at t=" in err
+
     def test_model_invariants_mapped_to_path(self, capsys, tmp_path):
         path = write_config(tmp_path / "tau.json",
                             [funnel_cosh_end(tau=-1.0)])

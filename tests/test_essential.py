@@ -153,6 +153,12 @@ class TestMorseCheck:
             MorseOptions(n=4)
         with pytest.raises(ValueError):
             MorseOptions(margin=-0.1)
+        for bad in (0.0, -1e-7, float("nan")):
+            with pytest.raises(ValueError, match="eig_tol"):
+                MorseOptions(eig_tol=bad)
+        with pytest.raises(ValueError, match="window_tol"):
+            MorseOptions(window_tol=-1e-6)
+        MorseOptions(window_tol=0.0)
 
 
 class TestFunnelModeLimit:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (dense_lowest_eigenvalue, dense_mode_count,
                       make_cusp, make_funnel)
-from hypmag import (BoundedFieldError, EndOptions, count_end,
+from hypmag import (BoundedFieldError, DomainError, EndOptions, count_end,
                     funnel_limit_potential, mode_potential)
 from hypmag.modes import mode_window
 
@@ -202,6 +202,25 @@ class TestScanEdgeCases:
         end = make_cusp([0.0, 1.0])
         with pytest.raises(ValueError):
             count_end(end, 30.0, EndOptions(t_max=0.0))
+
+    def test_cusp_overflow_is_an_error(self):
+        # e^{2t} overflows past t = 354.89: a wall beyond it must not
+        # leave an empty window and a silent, converged count of 0
+        end = make_cusp([0.0, 1.0])
+        assert count_end(end, 50.0, EndOptions(t_max=350.0)).count == 21
+        with pytest.raises(DomainError, match="not finite at t=354.8"):
+            count_end(end, 50.0, EndOptions(t_max=400.0))
+        with pytest.raises(DomainError, match="not finite"):
+            mode_potential(end, 0)(np.array([1.0, 400.0]))
+
+    def test_options_validation(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="t_max"):
+                EndOptions(t_max=bad)
+        with pytest.raises(ValueError, match="max_modes"):
+            EndOptions(max_modes=0)
+        with pytest.raises(ValueError, match="max_refinements"):
+            EndOptions(max_refinements=0)
 
     def test_result_metadata(self):
         end = make_cusp([0.0, 1.0])

@@ -1,13 +1,17 @@
 """Inertia counting, batched mode counts and bisection eigenvalues."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import dense_count_below, dense_eigenvalues
-from hypmag import (TridiagonalOperator, count_below, discretize,
-                    lowest_eigenvalues)
+from hypmag import (MorseOptions, TridiagonalOperator, count_below,
+                    discretize, essential, lowest_eigenvalues, sturm1d)
+from hypmag.essential import funnel_limit_potential
+from hypmag.landau import ess_bottom
 from hypmag.sturm1d import mode_counts
 
 
@@ -103,6 +107,22 @@ class TestGershgorin:
             assert lo <= evals.min() and evals.max() <= hi
 
 
+def plain_bisection(T, k, tol):
+    """Every index bisected on its own from the full Gershgorin bracket."""
+    glo, ghi = T.gershgorin()
+    out = []
+    for j in range(1, k + 1):
+        lo, hi = glo - 1.0, ghi + 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if count_below(T, mid) >= j:
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out
+
+
 class TestLowestEigenvalues:
     def test_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -126,6 +146,53 @@ class TestLowestEigenvalues:
         T = discretize(lambda t: 0.0 * t, 0.0, math.pi, 4000)
         got = lowest_eigenvalues(T, 3, tol=1e-9)
         assert np.allclose(got, [1.0, 4.0, 9.0], atol=5e-5)
+
+    def test_equals_plain_bisection(self):
+        # shared counts only skip midpoints whose side is known, so the
+        # values are those of bisecting every index from the full bracket
+        rng = np.random.default_rng(3)
+        cases = [(random_tridiagonal(rng), 1e-9) for _ in range(8)]
+        cases.append((TridiagonalOperator(diag=np.array([1.0, 1.0]),
+                                          off=np.array([0.0]), t_lo=0.0,
+                                          t_hi=1.0, h=0.5), 1e-10))
+        morse = discretize(funnel_limit_potential(2.3), -20.0, 4.0, 2000)
+        assert count_below(morse, ess_bottom(2.3) - 0.05) == 2
+        cases.append((morse, 1e-7))
+        for T, tol in cases:
+            k = min(T.n, 5) if T is not morse else 2
+            assert lowest_eigenvalues(T, k, tol) == plain_bisection(T, k, tol)
+
+    def test_tiny_tol_terminates(self):
+        # a tol below the float spacing at the eigenvalue: the bracket
+        # stops shrinking, and the bisection must stop with it
+        code = ("from hypmag import MorseOptions, discretize, "
+                "lowest_eigenvalues, morse_check\n"
+                "T = discretize(lambda x: 0 * x, 0, 1, 5)\n"
+                "print(lowest_eigenvalues(T, 1, tol=1e-20))\n"
+                "print(morse_check(2.3, MorseOptions(n=2000, eig_tol=1e-20))"
+                ".computed)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        first, morse = proc.stdout.splitlines()
+        # 36 (2 - 2 cos(pi / 6)), the lowest eigenvalue of the 5-point grid
+        assert float(first.strip("[]")) == pytest.approx(
+            72.0 - 36.0 * math.sqrt(3.0), rel=1e-14)
+        assert len(morse.split(",")) == 2
+
+    def test_sweeps_shared_between_indices(self, monkeypatch):
+        calls = []
+
+        def counted(T, lam):
+            calls.append(lam)
+            return count_below(T, lam)
+        monkeypatch.setattr(sturm1d, "count_below", counted)
+        monkeypatch.setattr(essential, "count_below", counted)
+        essential.morse_check(2.3, MorseOptions(n=2000))
+        assert len(calls) <= 120
+        calls.clear()
+        essential.funnel_mode_limit_check(1.3, [6])
+        assert len(calls) <= 72
 
     def test_validation(self):
         T = discretize(lambda t: 0.0 * t, 0.0, 1.0, 8)
@@ -174,18 +241,21 @@ class TestModeCounts:
         # a = w = q = 0 and h = 1 give diag 2, off -1 for every mode, and
         # lam = 2 sits exactly on the middle eigenvalue 2 - 2 cos(j pi /
         # (n+1)) for odd n: each row of the block has the zero pivot
-        # chain, which must resolve to the exact strict count (n-1)//2
+        # chain, which must resolve to the exact strict count (n-1)//2;
+        # widths up to _NARROW take the scalar form, wider the lockstep
         def zero(t):
             return 0.0 * t, 0.0 * t, 0.0 * t
-        for n, m in ((5, 3), (7, 1), (51, 2000), (2049, 20)):
+        narrow = sturm1d._NARROW
+        for n, m in ((5, 3), (7, 1), (51, 2000), (2049, 20), (5, narrow),
+                     (2049, 1), (2049, narrow)):
             got = mode_counts(zero, 0.0, n + 1.0, n, np.arange(m), 2.0)
             assert got.tolist() == [(n - 1) // 2] * m
 
     def test_zero_pivot_nudge_matches_count_below(self):
         # q dips one ulp below 0 at every third point of the same chain:
         # pivots (0, -huge, -ulp) with no nudge count that dip, the nudged
-        # recurrence of count_below does not.  The block path must agree
-        # with count_below, not with plain IEEE arithmetic.
+        # recurrence of count_below does not.  Both forms must agree with
+        # count_below, not with plain IEEE arithmetic.
         dip = 2.0 - np.nextafter(2.0, 0.0)
 
         def dips(t):
@@ -193,8 +263,49 @@ class TestModeCounts:
             return 0.0 * t, 0.0 * t, q
         for n in (5, 51, 2049):
             T = discretize(lambda t: dips(t)[2], 0.0, n + 1.0, n)
-            got = mode_counts(dips, 0.0, n + 1.0, n, np.arange(20), 2.0)
-            assert got.tolist() == [count_below(T, 2.0)] * 20
+            for m in (1, sturm1d._NARROW, 20):
+                got = mode_counts(dips, 0.0, n + 1.0, n, np.arange(m), 2.0)
+                assert got.tolist() == [count_below(T, 2.0)] * m
+
+    @pytest.mark.parametrize("form", ["default", "scalar", "lockstep"])
+    def test_forms_match_count_below_every_width(self, monkeypatch, form):
+        # random families on a grid longer than _COEFF_ROWS and not a
+        # multiple of it, so pivots carry across coefficient blocks
+        widths = range(1, sturm1d._NARROW + 2)
+        if form != "default":
+            monkeypatch.setattr(sturm1d, "_NARROW",
+                                0 if form == "lockstep" else 10**9)
+        rng = np.random.default_rng(11)
+        n = 2 * sturm1d._COEFF_ROWS + 37
+        for m in widths:
+            amp, freq, slope, wobble = rng.uniform(0.5, 3.0, 4)
+
+            def coeffs(t):
+                return (amp * np.sin(freq * t), 1.0 + slope * t,
+                        0.25 + wobble * np.cos(t))
+            ells = rng.uniform(-6.0, 6.0, m)
+            lam = float(rng.uniform(5.0, 80.0))
+            got = mode_counts(coeffs, 0.0, 5.0, n, ells, lam)
+            for ell, k in zip(ells, got):
+                def V(t, ell=ell):
+                    a, w, q = coeffs(t)
+                    return (ell - a) ** 2 * w + q
+                assert k == count_below(discretize(V, 0.0, 5.0, n), lam)
+
+    def test_narrow_batches_take_the_scalar_form(self, monkeypatch):
+        swept = []
+        scalar = sturm1d._pivot_sweep
+
+        def counted(alpha, c2s, d):
+            swept.append(len(alpha))
+            return scalar(alpha, c2s, d)
+        monkeypatch.setattr(sturm1d, "_pivot_sweep", counted)
+        m = sturm1d._NARROW
+        mode_counts(wavy_coeffs, 0.0, 4.0, 50, np.arange(m), 20.0)
+        assert swept == [50] * m
+        swept.clear()
+        mode_counts(wavy_coeffs, 0.0, 4.0, 50, np.arange(m + 1), 20.0)
+        assert swept == []
 
     def test_harmonic_oscillator(self):
         # w = 0, q = t^2: the levels 2k + 1 of the full line, which the
