@@ -81,19 +81,11 @@ def essential_spectrum(ends: SurfaceEnds, tol: float = INTEGER_TOL) -> SpectrumS
     integral_bs = [b for c, b in zip(ends.cusps, cusp_bs)
                    if cusp_is_integral(c, tol)]
 
-    if not funnel_betas:
-        if not integral_bs:
-            return SpectrumSet(bottom=None, points=(), empty=True)
-        bottom = min(ess_bottom(b) for b in integral_bs)
-        return SpectrumSet(bottom=bottom, points=(), empty=False)
-
-    funnel_bottoms = [ess_bottom(b) for b in funnel_betas]
-    bottom = min(funnel_bottoms + [ess_bottom(b) for b in integral_bs])
-    pts = set()
-    for beta in funnel_betas:
-        for level in landau_level_set(beta).levels:
-            if level < bottom - 1e-12:
-                pts.add(level)
+    if not (funnel_betas or integral_bs):
+        return SpectrumSet(bottom=None, points=(), empty=True)
+    bottom = min(ess_bottom(b) for b in funnel_betas + integral_bs)
+    pts = {level for beta in funnel_betas
+           for level in landau_level_set(beta).levels if level < bottom - 1e-12}
     return SpectrumSet(bottom=bottom, points=tuple(sorted(pts)), empty=False)
 
 

@@ -30,10 +30,13 @@ on the whole interval, for one (theta, s), has no eigenvalue below
 lambda; the window is the set of modes no such pair certifies empty,
 read off a grid of the interval.
 
-The sweep.  sturm1d.mode_counts runs one LDL^T pivot recurrence down a
-shared Dirichlet grid for every mode of the window at once.  The grid is
-doubled until each mode's count has been equal on three successive
-grids; a settled mode leaves the batch.
+The sweep.  sturm1d.mode_counts counts every mode of the window at lambda
+and at lambda - delta_h in one LDL^T lockstep down a shared Dirichlet
+grid.  delta_h = 2 h^2 (lambda - 1/4)^2 / 12 is twice the leading
+downward bias of the 3-point scheme near lambda (Paine, de Hoog &
+Anderssen, Computing 26, 1981), so a mode whose two counts agree has no
+eigenvalue that the grid moves across lambda and is decided; the others
+are counted again on the doubled grid.
 """
 
 from __future__ import annotations
@@ -64,10 +67,9 @@ class CountResult:
 # the first shared grid has _POINTS_PER_WAVELENGTH points per shortest
 # local wavelength 2 pi / sqrt(lambda), and at least _N0_MIN points
 _N0_MIN = 48
-# three equal counts are trusted only once the O(h^2) downward bias of
-# the 3-point scheme is below the distance of the nearest eigenvalue to
-# lambda; with 36 the cusp [0, 1] still counts 777 at lambda 1600, one
-# above the dense count
+# 72 makes delta_h about 0.0013 lambda on the first grid: only modes with
+# an eigenvalue that close above lambda are counted again (1 of 159 for
+# the cusp [0, 1] at lambda 6400); the mode window is read off it too
 _POINTS_PER_WAVELENGTH = 72.0
 
 
@@ -76,8 +78,8 @@ class EndOptions:
     """Controls for the mode sweep of a single end.
 
     t_max fixes the right Dirichlet wall.  A window of more than
-    max_modes modes is not swept, and a mode still unsettled after
-    max_refinements grids is reported with converged=False.
+    max_modes modes is not swept, and a mode still undecided on the last
+    of max_refinements grids is reported with converged=False.
     """
 
     t_max: float | None = None
@@ -175,10 +177,13 @@ def _bound_intervals(end, t, lam: float):
     qa = (1.0 - _THETA) * w
     qb = _SIGN * _THETA * dsw
     qc = q + _SIGN * _THETA * b - lam
-    disc = qb * qb - 4.0 * qa * qc
-    root = np.sqrt(np.where(disc > 0.0, disc, 0.0))
-    lo = np.where(disc > 0.0, a + (-qb - root) / (2.0 * qa), np.inf)
-    hi = np.where(disc > 0.0, a + (-qb + root) / (2.0 * qa), -np.inf)
+    # near a cusp wall disc overflows to +-inf with its exact sign: no mode
+    # or every mode; halving after / qa keeps inf / inf (NaN) out of lo, hi
+    with np.errstate(over="ignore"):
+        disc = qb * qb - 4.0 * qa * qc
+        root = np.sqrt(np.where(disc > 0.0, disc, 0.0))
+        lo = np.where(disc > 0.0, a + (-qb - root) / qa / 2.0, np.inf)
+        hi = np.where(disc > 0.0, a + (-qb + root) / qa / 2.0, -np.inf)
     return lo, hi
 
 
@@ -251,8 +256,8 @@ def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
     the number of interior points of the finest shared grid any mode of
     the window was counted on, and mode_range the smallest interval
     holding every mode with an eigenvalue below lam (None when no mode
-    contributes).  converged is False when a mode's count did not settle
-    within max_refinements grids, or when the window held more than
+    contributes).  converged is False when a mode is still undecided on
+    the last of max_refinements grids, or when the window held more than
     max_modes modes; the window is then not swept and the count is 0.
     """
     opts = opts or EndOptions()
@@ -270,15 +275,17 @@ def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
         return CountResult(count=0, lam=lam, n=n, t_hi=t_max, converged=False)
     coeffs = partial(_coefficients, end)
     counts = np.zeros(ells.size, dtype=np.int64)
-    runs = np.zeros(ells.size, dtype=np.int64)
     active = np.arange(ells.size)
     for sweep in range(opts.max_refinements):
         if sweep:
             n *= 2
-        c = mode_counts(coeffs, float(end.t0), t_max, n, ells[active], lam)
-        runs[active] = np.where(c == counts[active], runs[active] + 1, 1)
-        counts[active] = c
-        active = active[runs[active] < 3]
+        h = (t_max - end.t0) / (n + 1)
+        delta = 2.0 * h * h * (lam - 0.25) ** 2 / 12.0
+        at, below = mode_counts(
+            coeffs, float(end.t0), t_max, n, np.tile(ells[active], 2),
+            np.repeat((lam, lam - delta), active.size)).reshape(2, -1)
+        counts[active] = at
+        active = active[at != below]
         if active.size == 0:
             break
     live = ells[counts > 0]

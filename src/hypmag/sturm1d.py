@@ -61,15 +61,14 @@ class TridiagonalOperator:
 
 
 def _veval(V, x):
-    """Evaluate a potential on an array, tolerating scalar-only callables."""
+    """Evaluate a potential on a 1-d grid, tolerating scalar-only callables."""
     x = np.asarray(x, dtype=float)
     try:
         vals = np.asarray(V(x), dtype=float)
     except (TypeError, ValueError):
         vals = None
     if vals is None or vals.shape != x.shape:
-        vals = np.array([float(V(float(xi))) for xi in x.ravel()], dtype=float)
-        vals = vals.reshape(x.shape)
+        vals = np.array([float(V(float(xi))) for xi in x], dtype=float)
     return vals
 
 
@@ -89,7 +88,7 @@ def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
         raise ValueError(
-            f"potential is not finite at t={grid[i]!r} (grid index {i})")
+            f"potential is not finite at t={float(grid[i])!r} (grid index {i})")
     inv_h2 = 1.0 / (h * h)
     diag = 2.0 * inv_h2 + vals
     off = np.full(max(n - 1, 0), -inv_h2)
@@ -136,28 +135,29 @@ _NARROW = 16
 
 
 def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
-                lam: float) -> np.ndarray:
+                lam) -> np.ndarray:
     """Strict counts below lam for a family of operators on one grid.
 
     coeffs(t) returns arrays (a, w, q) on the grid points t; the operator
     of the mode ell is -d^2/dt^2 + (ell - a)^2 w + q on (t_lo, t_hi), with
     Dirichlet ends and the 3-point scheme on n interior points, as in
-    discretize.  Each count equals count_below on the mode's own operator
+    discretize; lam is a scalar or per-mode thresholds broadcast to ells.
+    Each count equals count_below on the mode's own operator at its lam
     up to the rounding of its diagonal; memory does not grow with n.
 
     Up to _NARROW modes run one by one on the scalar recurrence of
     count_below (about 0.1 us per point and mode); more run it for all
     modes at once down the grid (the lockstep of LAPACK xLAEBZ), in
     blocks of about _BLOCK_CELLS cells, at two numpy calls (about 1.5 us)
-    per row whatever the width.  The forms cross near 16 modes.  A
-    lockstep block with a zero pivot is redone on the scalar recurrence.
+    per row whatever the width.  A block with a zero pivot is redone on
+    the scalar recurrence.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if n < 1:
         raise ValueError("need at least one interior grid point")
     ells = np.asarray(ells, dtype=float)
-    lam = float(lam)
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), ells.shape)
     m = ells.size
     counts = np.zeros(m, dtype=np.int64)
     if m == 0:
@@ -168,7 +168,8 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     rows = max(1, min(_BLOCK_CELLS // m, _COEFF_ROWS))
     divide, subtract = np.divide, np.subtract
     prev = np.full(m, math.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflowing (ell - a)^2 w is an infinite diagonal: a positive pivot
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c_lo in range(0, n, _COEFF_ROWS):
             c_hi = min(n, c_lo + _COEFF_ROWS)
             a, w, q = coeffs(t_lo + h * np.arange(c_lo + 1, c_hi + 1))

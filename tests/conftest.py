@@ -55,6 +55,14 @@ def dense_count_below(diag, off, lam: float) -> int:
     return int(np.sum(dense_eigenvalues(diag, off) < lam))
 
 
+def _dirichlet_matrix(V, t_lo: float, t_hi: float, n: int):
+    """Potential samples, diagonal and off-diagonal of the 3-point scheme
+    for -d^2/dt^2 + V on n interior points of (t_lo, t_hi)."""
+    h = (t_hi - t_lo) / (n + 1)
+    vals = np.asarray(V(t_lo + h * np.arange(1, n + 1)), dtype=float)
+    return vals, 2.0 / (h * h) + vals, np.full(n - 1, -1.0 / (h * h))
+
+
 def dense_mode_count(V, t_lo: float, t_hi: float, n: int, lam: float) -> int:
     """Dirichlet count below lam on a fixed interval, straight from LAPACK.
 
@@ -62,18 +70,38 @@ def dense_mode_count(V, t_lo: float, t_hi: float, n: int, lam: float) -> int:
     t_hi deep enough in the classically forbidden region and pick n fine
     enough for the energies involved.
     """
-    h = (t_hi - t_lo) / (n + 1)
-    grid = t_lo + h * np.arange(1, n + 1)
-    vals = np.asarray(V(grid), dtype=float)
+    vals, diag, off = _dirichlet_matrix(V, t_lo, t_hi, n)
     vmin = float(np.min(vals))
     if vmin >= lam:
         # -d^2/dt^2 with Dirichlet ends is positive semidefinite
         return 0
-    diag = 2.0 / (h * h) + vals
-    off = np.full(n - 1, -1.0 / (h * h))
     evals = eigvalsh_tridiagonal(diag, off, select="v",
                                  select_range=(vmin - 1.0, lam + 1.0))
     return int(np.sum(evals < lam))
+
+
+def richardson_mode_count(V, t_lo: float, t_hi: float, n: int,
+                          lam: float) -> int:
+    """Dirichlet count below lam of the continuous operator, from LAPACK.
+
+    The eigenvalues below lam + 1 on 2n + 1 interior points and the same
+    levels on n points (h halved exactly) give one Richardson step each
+    for the O(h^2) error of the 3-point scheme, then a strict count.  So
+    an eigenvalue just above lam whose discrete image lies below it on
+    both grids is not counted.
+    """
+    vals, diag, off = _dirichlet_matrix(V, t_lo, t_hi, 2 * n + 1)
+    vmin = float(np.min(vals))
+    if vmin >= lam:
+        return 0
+    fine = eigvalsh_tridiagonal(diag, off, select="v",
+                                select_range=(vmin - 1.0, lam + 1.0))
+    if fine.size == 0:
+        return 0
+    _, diag, off = _dirichlet_matrix(V, t_lo, t_hi, n)
+    coarse = eigvalsh_tridiagonal(diag, off, select="i",
+                                  select_range=(0, fine.size - 1))
+    return int(np.sum(fine + (fine - coarse) / 3.0 < lam))
 
 
 def dense_lowest_eigenvalue(V, t_lo: float, t_hi: float, n: int) -> float:
@@ -83,10 +111,7 @@ def dense_lowest_eigenvalue(V, t_lo: float, t_hi: float, n: int) -> float:
     Richardson step for the O(h^2) error of the 3-point scheme.
     """
     def lowest(m):
-        h = (t_hi - t_lo) / (m + 1)
-        grid = t_lo + h * np.arange(1, m + 1)
-        diag = 2.0 / (h * h) + np.asarray(V(grid), dtype=float)
-        off = np.full(m - 1, -1.0 / (h * h))
+        _, diag, off = _dirichlet_matrix(V, t_lo, t_hi, m)
         return float(eigvalsh_tridiagonal(diag, off, select="i",
                                           select_range=(0, 0))[0])
     coarse, fine = lowest(n), lowest(2 * n + 1)

@@ -114,7 +114,7 @@ class TestDeterministicOutput:
         rc, out, err = run_main(capsys, "count-end", "--config", cusp_cfg,
                                 "--end", "0", "--lambda", "100", "--json")
         assert rc == 0
-        assert out == ('{"count":46,"lambda":100,"n":2868,"t_hi":6.25,'
+        assert out == ('{"count":46,"lambda":100,"n":717,"t_hi":6.25,'
                        '"mode_range":[-6,6],"converged":true}\n')
 
     def test_hypcheck(self, capsys, cusp_cfg):

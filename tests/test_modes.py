@@ -1,10 +1,12 @@
 """Mode potentials, the mode window and the batched sweep behind count_end."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import (dense_lowest_eigenvalue, dense_mode_count,
-                      make_cusp, make_funnel)
+                      make_cusp, make_funnel, richardson_mode_count)
 from hypmag import (BoundedFieldError, DomainError, EndOptions, count_end,
                     funnel_limit_potential, mode_potential)
 from hypmag.modes import mode_window
@@ -112,6 +114,20 @@ class TestCountEndAgainstDenseOracle:
         lo, hi = res.mode_range
         assert -700 <= lo <= hi <= 10
 
+    def test_funnel_eigenvalue_just_above_lambda(self):
+        # mode -547 has an eigenvalue near 40.0004 on [t0, t_hi]; its
+        # discrete image lies below 40 on the grids n = 453, 906 and 1812,
+        # so three equal counts there over-count by one
+        end = make_funnel([0.5, 1.0], tau=0.7, t0=0.1, xi=0.3)
+        res = count_end(end, 40.0)
+        ells = range(-700, 21)
+        oracle = [richardson_mode_count(mode_potential(end, ell), end.t0,
+                                        res.t_hi, 1000, 40.0) for ell in ells]
+        # the modes at both edges of the range are empty
+        assert not any(oracle[:5]) and not any(oracle[-5:])
+        assert res.converged
+        assert res.count == sum(oracle) == 667
+
 
 class TestCountEndRegression:
     def test_cusp_linear_sweep(self):
@@ -213,6 +229,16 @@ class TestScanEdgeCases:
         with pytest.raises(DomainError, match="not finite"):
             mode_potential(end, 0)(np.array([1.0, 400.0]))
 
+    def test_cusp_wall_near_overflow_is_quiet(self):
+        # (ell - a)^2 w and the window's discriminant overflow to +-inf
+        # near the wall; both are read without warnings, and a wall where
+        # 2 (1 - theta) w overflows too still keeps every contributing mode
+        end = make_cusp([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t_max in (350.0, 354.8):
+                assert count_end(end, 50.0, EndOptions(t_max=t_max)).count == 21
+
     def test_options_validation(self):
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="t_max"):
@@ -275,7 +301,13 @@ class TestModeWindow:
         assert count_end(end, 50.0).converged
 
     def test_unsettled_mode_is_not_converged(self):
-        # two grids can never give three equal counts
+        # a mode whose counts at lambda and lambda - delta_h still differ
+        # on the last grid leaves the result unconverged, and its count at
+        # lambda enters the sum
         end = make_cusp([0.0, 1.0])
-        res = count_end(end, 30.0, EndOptions(max_refinements=2))
+        res = count_end(end, 1600.0, EndOptions(max_refinements=1))
         assert not res.converged
+        assert res.count == 777
+        res = count_end(end, 1600.0)
+        assert res.converged
+        assert res.count == 776

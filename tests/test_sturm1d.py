@@ -48,6 +48,13 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(lambda t: np.full_like(t, math.inf), 0.0, 1.0, 4)
 
+    def test_nonfinite_message_names_the_point(self):
+        def V(t):
+            return np.where(t > 0.5, np.inf, 0.0 * t)
+        with pytest.raises(ValueError,
+                           match=r"at t=0\.5555555555555556 \(grid index 4\)"):
+            discretize(V, 0.0, 1.0, 8)
+
     def test_operator_shape_validation(self):
         with pytest.raises(ValueError):
             TridiagonalOperator(diag=np.array([1.0, 2.0]), off=np.array([]),
@@ -291,6 +298,21 @@ class TestModeCounts:
                     a, w, q = coeffs(t)
                     return (ell - a) ** 2 * w + q
                 assert k == count_below(discretize(V, 0.0, 5.0, n), lam)
+
+    @pytest.mark.parametrize("form", ["scalar", "lockstep"])
+    def test_per_mode_thresholds_match_scalar_calls(self, monkeypatch, form):
+        widths = (1, sturm1d._NARROW, 40)
+        monkeypatch.setattr(sturm1d, "_NARROW",
+                            0 if form == "lockstep" else 10**9)
+        rng = np.random.default_rng(7)
+        n = sturm1d._COEFF_ROWS + 37
+        for m in widths:
+            ells = rng.uniform(-6.0, 6.0, m)
+            lams = rng.uniform(5.0, 80.0, m)
+            got = mode_counts(wavy_coeffs, 0.0, 5.0, n, ells, lams)
+            want = [mode_counts(wavy_coeffs, 0.0, 5.0, n, [ell], float(lam))[0]
+                    for ell, lam in zip(ells, lams)]
+            assert got.tolist() == want
 
     def test_narrow_batches_take_the_scalar_form(self, monkeypatch):
         swept = []
