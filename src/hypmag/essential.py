@@ -18,7 +18,7 @@ s = ln(2 rho) - t0 and tracks the lowest eigenvalue as rho grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +93,13 @@ def essential_spectrum(ends: SurfaceEnds, tol: float = INTEGER_TOL) -> SpectrumS
 # Morse-model eigenvalue check
 
 
+def _reversed(T):
+    # the same matrix with its rows in reverse order: count_below meets the
+    # long s -> -oo side, where V -> 1/4 + beta^2 lies above every lambda
+    # bisected, last and stops early in it instead of walking it in full
+    return replace(T, diag=T.diag[::-1], off=T.off[::-1])
+
+
 @dataclass(frozen=True)
 class MorseOptions:
     s_lo: float = -20.0
@@ -155,7 +162,7 @@ def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
     threshold = ess_bottom(beta) - opts.margin
 
     def low_eigs(lo, hi, n):
-        T = discretize(V, lo, hi, n)
+        T = _reversed(discretize(V, lo, hi, n))
         k = count_below(T, threshold)
         if k == 0:
             return ()
@@ -226,9 +233,9 @@ def funnel_mode_limit_check(beta: float, rhos, t0: float = 0.0) -> LimitReport:
         s_max = math.log(2.0 * rho) - t0
         s_lo = min(-40.0, s_max - 30.0)
         n = max(4000, int((s_max - s_lo) / 0.004))
-        T = discretize(pot, s_lo, s_max, n)
+        T = _reversed(discretize(pot, s_lo, s_max, n))
         e0 = lowest_eigenvalues(T, 1, tol=1e-9)[0]
-        T2 = discretize(pot, s_lo, s_max, 2 * n + 1)
+        T2 = _reversed(discretize(pot, s_lo, s_max, 2 * n + 1))
         e0b = lowest_eigenvalues(T2, 1, tol=1e-9)[0]
         # Richardson step for the O(h^2) scheme; 2n+1 points halve h exactly
         lowest.append(e0b + (e0b - e0) / 3.0)

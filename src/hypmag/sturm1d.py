@@ -9,17 +9,27 @@ eigenvalues come from bisection on that count between the Gershgorin
 bounds, so they inherit its robustness.
 
 count_below sweeps one operator with a scalar pivot recurrence on Python
-floats (about 0.1 us per point).  mode_counts sweeps a family of
+floats (about 0.1 us per row swept).  mode_counts sweeps a family of
 operators (ell - a)^2 w + q on one grid: mode by mode on that recurrence
 up to _NARROW modes, beyond that in numpy lockstep over the modes, whose
 call overhead (about 1.5 us per grid row) is then the smaller cost.
+
+The scalar sweeps stop once the count is final, which on a classically
+forbidden tail skips most of the grid.  With couplings e_i = sqrt(c2_{i+1})
+(0 past the ends) and s = _SLACK, let every row from r on be dominant,
+alpha_i >= (1 + s)(e_{i-1} + e_i), and the pivot carried into r be
+d >= (1 + s) e_{r-1}.  Then d_i >= (1 + s/2) e_i for every later i: from
+it for i - 1, c2_i / d_{i-1} <= e_{i-1}, so d_i >= (1 + s) e_i + s e_{i-1}
+(a zero is nudged).  No later pivot is negative, and the cut is exact:
+the few ulps each step rounds by are far below the slack s/2.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
 
 import numpy as np
 
@@ -37,12 +47,14 @@ class TridiagonalOperator:
     h: float
 
     def __post_init__(self):
-        diag = np.ascontiguousarray(self.diag, dtype=float)
-        off = np.ascontiguousarray(self.off, dtype=float)
+        diag = np.ascontiguousarray(self.diag, dtype=float).view()
+        off = np.ascontiguousarray(self.off, dtype=float).view()
         if diag.ndim != 1 or diag.size < 1:
             raise ValueError("diag must be a nonempty 1-d array")
         if off.shape != (diag.size - 1,):
             raise ValueError("off must have length n - 1")
+        # read-only views: _tail_floors caches a summary of them
+        diag.flags.writeable = off.flags.writeable = False
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "off", off)
 
@@ -58,6 +70,25 @@ class TridiagonalOperator:
             radius[:-1] += np.abs(self.off)
             radius[1:] += np.abs(self.off)
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
+
+    @cached_property
+    def _tail_floors(self) -> list[float]:
+        """Entry b: every row from b _CUT_ROWS on is dominant for lam <= it.
+
+        min diag - (1 + s) radius over those rows (radius from sqrt(off^2),
+        as the sweep sees the couplings; NaN read as -inf), less 2 eps |.|
+        for the rounding of diag - lam; built a _COEFF_ROWS block at a time.
+        """
+        n, mins = self.n, []
+        for lo in range(0, n, _COEFF_ROWS):
+            hi = min(n, lo + _COEFF_ROWS)
+            k0, k1 = max(lo - 1, 0), min(hi, n - 1)  # couplings to rows lo - 1 .. hi
+            e = np.sqrt(np.pad(self.off[k0:k1] ** 2, (k0 + 1 - lo, hi - k1)))
+            floor = self.diag[lo:hi] - (1.0 + _SLACK) * (e[:-1] + e[1:])
+            mins.append(np.minimum.reduceat(floor, np.arange(0, hi - lo, _CUT_ROWS)))
+        f = np.concatenate(mins)
+        f = np.minimum.accumulate(np.where(np.isnan(f), -np.inf, f)[::-1])[::-1]
+        return (f * (1.0 - 2.0 * _EPS * np.sign(f))).tolist()
 
 
 def _veval(V, x):
@@ -97,14 +128,21 @@ def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
 
 
 def count_below(T: TridiagonalOperator, lam: float) -> int:
-    """Number of eigenvalues of T strictly below lam (Sylvester inertia)."""
+    """Number of eigenvalues of T strictly below lam (Sylvester inertia).
+
+    About 0.1 us per row swept: the sweep stops in the dominant tail that
+    a bisection in T._tail_floors finds (see the module docstring).
+    """
     lam = float(lam)
-    c2 = np.concatenate(([0.0], T.off * T.off))
+    tail = _CUT_ROWS * bisect_left(T._tail_floors, lam)
     count, d = 0, math.inf
     for lo in range(0, T.n, _COEFF_ROWS):
-        part = slice(lo, lo + _COEFF_ROWS)
-        k, d = _pivot_sweep((T.diag[part] - lam).tolist(), c2[part].tolist(), d)
+        hi = min(T.n, lo + _COEFF_ROWS)
+        c = T.off[lo - 1:hi - 1] if lo else np.concatenate(([0.0], T.off[:hi - 1]))
+        k, d, final = _cut_sweep(T.diag[lo:hi] - lam, (c * c).tolist(), d, tail - lo)
         count += k
+        if final:
+            break
     return count
 
 
@@ -126,8 +164,31 @@ def _pivot_sweep(alpha, c2s, d):
     return count, d
 
 
+def _cut_sweep(alpha, c2s, d, tail):
+    """(negative pivots, last pivot, stopped) of _pivot_sweep over some rows.
+
+    alpha is an array, c2s a list.  The rows from index tail on, and all
+    later rows of the operator, are dominant (module docstring); there the
+    pivot is tested every _CUT_ROWS rows, and the sweep stops at the first
+    row r with d >= (1 + s) e_{r-1}.  An infinite alpha (a cusp wall) is
+    dominant: its pivot is inf, and the next quotient 0.
+    """
+    count, lo = 0, 0
+    for hi in range(max(tail, 0), alpha.size, _CUT_ROWS):
+        k, d = _pivot_sweep(alpha[lo:hi].tolist(), c2s[lo:hi], d)
+        count, lo = count + k, hi
+        if d >= 0.0 and d * d >= (1.0 + _SLACK) ** 2 * c2s[hi]:
+            return count, d, True
+    k, d = _pivot_sweep(alpha[lo:].tolist(), c2s[lo:] if lo else c2s, d)
+    return count + k, d, False
+
+
 # grid rows per coefficient evaluation and per scalar sweep
 _COEFF_ROWS = 1024
+# relative slack of the dominance tests of _cut_sweep
+_SLACK = 1e-8
+# rows between pivot tests of _cut_sweep and per entry of _tail_floors
+_CUT_ROWS = 64
 # cells (grid rows times modes) of one lockstep block of mode_counts
 _BLOCK_CELLS = 16384
 # widest batch mode_counts runs mode by mode on the scalar recurrence
@@ -146,11 +207,12 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     up to the rounding of its diagonal; memory does not grow with n.
 
     Up to _NARROW modes run one by one on the scalar recurrence of
-    count_below (about 0.1 us per point and mode); more run it for all
-    modes at once down the grid (the lockstep of LAPACK xLAEBZ), in
-    blocks of about _BLOCK_CELLS cells, at two numpy calls (about 1.5 us)
-    per row whatever the width.  A block with a zero pivot is redone on
-    the scalar recurrence.
+    count_below (about 0.1 us per row swept and mode), each stopping in
+    its dominant tail, which a pass from the far wall finds first; more
+    run it for all modes at once down the whole grid (the lockstep of
+    LAPACK xLAEBZ), in blocks of about _BLOCK_CELLS cells, at two numpy
+    calls (about 1.5 us) per row whatever the width.  A block with a zero
+    pivot is redone on the scalar recurrence.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -165,23 +227,42 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     h = (t_hi - t_lo) / (n + 1)
     inv_h2 = 1.0 / (h * h)
     c2 = inv_h2 * inv_h2
+    blocks = [(lo, min(n, lo + _COEFF_ROWS)) for lo in range(0, n, _COEFF_ROWS)]
     rows = max(1, min(_BLOCK_CELLS // m, _COEFF_ROWS))
     divide, subtract = np.divide, np.subtract
-    prev = np.full(m, math.inf)
+
+    def alphas(a, w, q):
+        # alpha = (2/h^2 + (ell - a)^2 w + q) - lam, built in place
+        alpha = ells - a[:, None]
+        alpha *= alpha
+        alpha *= w[:, None]
+        alpha += q[:, None]
+        np.add(2.0 * inv_h2, alpha, out=alpha)
+        alpha -= lam
+        return alpha
+
+    tail, final, seen = np.full(m, n), np.zeros(m, dtype=bool), (None, None)
     # an overflowing (ell - a)^2 w is an infinite diagonal: a positive pivot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c_lo in range(0, n, _COEFF_ROWS):
-            c_hi = min(n, c_lo + _COEFF_ROWS)
-            a, w, q = coeffs(t_lo + h * np.arange(c_lo + 1, c_hi + 1))
+        if m <= _NARROW:
+            # from the far wall: one past each mode's last row that is not
+            # dominant (2 e bounds every radius; NaN is never dominant)
+            thr = 2.0 * (1.0 + _SLACK) * inv_h2
+            tail[:] = 0
+            for lo, hi in reversed(blocks):
+                seen = lo, coeffs(t_lo + h * np.arange(lo + 1, hi + 1))
+                weak = ~(alphas(*seen[1]) >= thr)
+                last = hi - np.argmax(weak[::-1], axis=0)
+                np.maximum(tail, np.where(weak.any(axis=0), last, 0), out=tail)
+                if tail.all():
+                    break
+        prev = np.full(m, math.inf)
+        for c_lo, c_hi in blocks:
+            a, w, q = (seen[1] if c_lo == seen[0]
+                       else coeffs(t_lo + h * np.arange(c_lo + 1, c_hi + 1)))
             for b_lo in range(0, c_hi - c_lo, rows):
                 part = slice(b_lo, b_lo + rows)
-                # alpha = (2/h^2 + (ell - a)^2 w + q) - lam, built in place
-                alpha = ells - a[part, None]
-                alpha *= alpha
-                alpha *= w[part, None]
-                alpha += q[part, None]
-                np.add(2.0 * inv_h2, alpha, out=alpha)
-                alpha -= lam
+                alpha = alphas(a[part], w[part], q[part])
                 if m > _NARROW:
                     piv = np.empty_like(alpha)
                     p = prev
@@ -193,10 +274,15 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
                         counts += (piv < 0.0).sum(axis=0)
                         prev = piv[-1].copy()
                         continue
-                for j, col in enumerate(alpha.T.tolist()):
-                    c2s = repeat(c2) if c_lo + b_lo else chain((0.0,), repeat(c2))
-                    k, prev[j] = _pivot_sweep(col, c2s, float(prev[j]))
+                c2s = [c2] * alpha.shape[0]
+                if not c_lo + b_lo:
+                    c2s[0] = 0.0
+                for j in np.flatnonzero(~final):
+                    k, prev[j], final[j] = _cut_sweep(
+                        alpha[:, j], c2s, float(prev[j]), int(tail[j]) - c_lo - b_lo)
                     counts[j] += k
+            if final.all():
+                break
     return counts
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_cusp, make_funnel
 from hypmag import (MorseOptions, NonConstantFieldError, SpectrumSet,
-                    SurfaceEnds, cusp_is_integral, essential_spectrum,
+                    SurfaceEnds, cusp_is_integral, essential, essential_spectrum,
                     funnel_mode_limit_check, holonomy, morse_check)
 
 
@@ -179,3 +179,16 @@ class TestFunnelModeLimit:
             funnel_mode_limit_check(1.0, ())
         with pytest.raises(ValueError):
             funnel_mode_limit_check(1.0, (10.0, -1.0))
+
+
+class TestReversedRows:
+    @pytest.mark.parametrize("beta", [0.3, 0.9, 1.3, 2.3, 3.7, 6.0])
+    def test_same_reports_as_forward_rows(self, monkeypatch, beta):
+        # the checks sweep their operators with the rows reversed, so that
+        # count_below stops early in the s -> -oo tail; the same matrix in
+        # its forward order must give the very same reports
+        reversed_rows = (morse_check(beta, MorseOptions(n=2000)),
+                         funnel_mode_limit_check(beta, [6.0]))
+        monkeypatch.setattr(essential, "_reversed", lambda T: T)
+        assert reversed_rows == (morse_check(beta, MorseOptions(n=2000)),
+                                 funnel_mode_limit_check(beta, [6.0]))

@@ -15,6 +15,42 @@ from hypmag.landau import ess_bottom
 from hypmag.sturm1d import mode_counts
 
 
+def full_sweep(alpha, c2s):
+    """Negative pivots of the nudged LDL^T recurrence over every row."""
+    count, d = 0, math.inf
+    for a, c2 in zip(alpha, c2s):
+        d = a - c2 / d
+        if d < 0.0:
+            count += 1
+        elif d == 0.0:
+            d = sturm1d._EPS * (abs(a) + c2 + 1.0)
+    return count
+
+
+def full_count_below(T, lam):
+    return full_sweep((T.diag - lam).tolist(),
+                      [0.0] + (T.off * T.off).tolist())
+
+
+def tailed_operator(rng):
+    """A random operator whose rows past a random point are (nearly) all
+    diagonally dominant at lam, with some zero couplings, and lam."""
+    n = int(rng.integers(1, 2600))
+    off = rng.uniform(-3.0, 3.0, n - 1) * rng.choice([1.0, 1e-3, 1e3])
+    off[rng.random(n - 1) < 0.05] = 0.0
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lam = float(rng.uniform(-5.0, 5.0))
+    # margins over the dominance bound: some just below it, some at it
+    margin = rng.choice([1.0, 1e-3, 1e-9, 0.0, -1e-12], n) * rng.random(n)
+    diag = lam + radius * (1.0 + margin)
+    well = int(rng.integers(0, n + 1))
+    diag[:well] = rng.uniform(-6.0, 6.0, well) + lam
+    return TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
+                               h=1.0 / (n + 1)), lam
+
+
 def random_tridiagonal(rng):
     n = int(rng.integers(1, 201))
     diag = rng.uniform(-5.0, 5.0, n)
@@ -102,6 +138,106 @@ class TestCountBelow:
                                 t_lo=0.0, t_hi=1.0, h=0.5)
         assert count_below(T, 4.0) == 0
         assert count_below(T, 4.5) == 1
+
+
+class TestDominantTailCut:
+    """The scalar sweeps stop in the dominant tail; the counts must equal
+    those of a sweep over every row, bit for bit."""
+
+    def test_count_below_random_tails(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            T, lam = tailed_operator(rng)
+            assert count_below(T, lam) == full_count_below(T, lam)
+
+    def test_count_below_at_and_near_eigenvalues(self):
+        # wells with long forbidden tails on either side, and lam on the
+        # dense eigenvalues, one ulp off them and a little off them: a
+        # count decided only far down the tail
+        rng = np.random.default_rng(5)
+        for n in (40, 700, 2100):
+            for V in (lambda t: t * t, lambda t: 1e4 * (t > 0.6) + 0.0 * t,
+                      funnel_limit_potential(2.3)):
+                T = discretize(V, -6.0, 3.0, n)
+                evals = dense_eigenvalues(T.diag, T.off)[:4]
+                for ev in evals.tolist():
+                    for lam in (ev, np.nextafter(ev, -np.inf),
+                                np.nextafter(ev, np.inf), ev * (1 + 1e-12),
+                                ev + rng.uniform(-1.0, 1.0)):
+                        for op in (T, TridiagonalOperator(
+                                diag=T.diag[::-1], off=T.off[::-1],
+                                t_lo=T.t_lo, t_hi=T.t_hi, h=T.h)):
+                            assert count_below(op, lam) == full_count_below(op, lam)
+
+    def test_count_below_exact_eigenvalues_in_the_tail(self):
+        # a Toeplitz zero-pivot chain (lam = 2 on its middle eigenvalue)
+        # before a dominant tail, and decoupled rows equal to lam inside it
+        for n, tail in ((5, 3), (51, 200), (1025, 2000)):
+            diag = np.concatenate((np.full(n, 2.0), np.full(tail, 4.5)))
+            off = np.full(n + tail - 1, -1.0)
+            off[n - 1] = 0.0
+            diag[n + tail // 2] = 2.0
+            off[n + tail // 2 - 1:n + tail // 2 + 1] = 0.0
+            T = TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
+                                    h=1.0)
+            assert count_below(T, 2.0) == full_count_below(T, 2.0) == (n - 1) // 2
+
+    def test_nonfinite_rows_never_cut(self):
+        # NaN and infinite entries anywhere, and an overflowing cusp wall
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            T, lam = tailed_operator(rng)
+            diag, off = T.diag.copy(), T.off.copy()
+            bad = diag if off.size == 0 or rng.random() < 0.7 else off
+            where = rng.integers(0, bad.size, int(rng.integers(1, 4)))
+            bad[where] = rng.choice([np.nan, np.inf, -np.inf, 1e200], where.size)
+            T = TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
+                                    h=T.h)
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e200^2
+                assert count_below(T, lam) == full_count_below(T, lam)
+        n = 3000
+        t = np.linspace(340.0, 360.0, n)
+        with np.errstate(over="ignore"):
+            diag = 2.0 + np.exp(2.0 * t) * np.where(t < 345.0, 0.0, 1.0)
+        assert np.isinf(diag[-1])
+        T = TridiagonalOperator(diag=diag, off=np.full(n - 1, -1.0),
+                                t_lo=0.0, t_hi=1.0, h=1.0)
+        for lam in (0.5, 2.0, 3.9):
+            assert count_below(T, lam) == full_count_below(T, lam)
+
+    @pytest.mark.parametrize("form", ["default", "scalar", "lockstep"])
+    def test_mode_counts_every_width(self, monkeypatch, form):
+        # families whose modes leave the well into a rising wall (cusp-like,
+        # overflowing for the wall at 356), per-mode thresholds, grids on
+        # either side of _COEFF_ROWS
+        widths = range(1, sturm1d._NARROW + 2)
+        if form != "default":
+            monkeypatch.setattr(sturm1d, "_NARROW",
+                                0 if form == "lockstep" else 10**9)
+        rng = np.random.default_rng(99)
+        families = [
+            (0.0, 4.0, lambda t: (3.0 * np.sin(t), np.exp(1.5 * t),
+                                  0.25 + np.cos(3.0 * t))),
+            (-2.0, 356.0, lambda t: (0.5 + 0.0 * t, np.exp(2.0 * t),
+                                     0.25 + 0.0 * t)),
+            (0.0, 9.0, lambda t: (0.0 * t, 0.0 * t, 4.0 * (t > 2.0) + 0.0 * t)),
+        ]
+        for m in widths:
+            t_lo, t_hi, coeffs = families[m % len(families)]
+            n = int(rng.choice([1, 37, 400, sturm1d._COEFF_ROWS + 37, 2500]))
+            ells = np.round(rng.uniform(-8.0, 8.0, m))
+            lams = rng.uniform(-1.0, 60.0, m)
+            lams[::3] = 2.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = mode_counts(coeffs, t_lo, t_hi, n, ells, lams)
+                h = (t_hi - t_lo) / (n + 1)
+                inv_h2 = 1.0 / (h * h)
+                a, w, q = coeffs(t_lo + h * np.arange(1, n + 1))
+                c2s = [0.0] + [inv_h2 * inv_h2] * (n - 1)
+                for ell, lam, k in zip(ells, lams, got):
+                    x = ell - a
+                    alpha = 2.0 * inv_h2 + (x * x * w + q) - lam
+                    assert k == full_sweep(alpha.tolist(), c2s)
 
 
 class TestGershgorin:
@@ -200,6 +336,29 @@ class TestLowestEigenvalues:
         calls.clear()
         essential.funnel_mode_limit_check(1.3, [6])
         assert len(calls) <= 72
+
+    def test_self_checks_stop_in_the_forbidden_tail(self, monkeypatch):
+        # morse_check and funnel_mode_limit_check bisect on grids whose
+        # s -> -oo side is a long forbidden tail; sweeps stop early in it
+        swept, full = [0], [0]
+        scalar, below = sturm1d._pivot_sweep, sturm1d.count_below
+
+        def counted(alpha, c2s, d):
+            swept[0] += len(alpha)
+            return scalar(alpha, c2s, d)
+
+        def counted_below(T, lam):
+            full[0] += T.n
+            return below(T, lam)
+        monkeypatch.setattr(sturm1d, "_pivot_sweep", counted)
+        monkeypatch.setattr(sturm1d, "count_below", counted_below)
+        monkeypatch.setattr(essential, "count_below", counted_below)
+        for check, bound in (
+                (lambda: essential.morse_check(2.3, MorseOptions(n=2000)), 0.6),
+                (lambda: essential.funnel_mode_limit_check(1.3, [6]), 0.4)):
+            swept[0] = full[0] = 0
+            check()
+            assert 0 < swept[0] <= bound * full[0]
 
     def test_validation(self):
         T = discretize(lambda t: 0.0 * t, 0.0, 1.0, 8)
@@ -319,12 +478,35 @@ class TestModeCounts:
         scalar = sturm1d._pivot_sweep
 
         def counted(alpha, c2s, d):
-            swept.append(len(alpha))
+            if d == math.inf:  # the first rows of the next mode
+                swept.append(0)
+            swept[-1] += len(alpha)
             return scalar(alpha, c2s, d)
         monkeypatch.setattr(sturm1d, "_pivot_sweep", counted)
-        m = sturm1d._NARROW
-        mode_counts(wavy_coeffs, 0.0, 4.0, 50, np.arange(m), 20.0)
-        assert swept == [50] * m
+        m, n, lam = sturm1d._NARROW, 50, 20.0
+        mode_counts(wavy_coeffs, 0.0, 4.0, n, np.arange(m), lam)
+        # each mode stops at the first tested row of its dominant tail
+        # whose pivot dominates the coupling (every _CUT_ROWS rows)
+        h = 4.0 / (n + 1)
+        a, w, q = wavy_coeffs(h * np.arange(1, n + 1))
+        slack = sturm1d._SLACK
+        cuts = []
+        for ell in range(m):
+            alpha = (2.0 / (h * h) + (ell - a) ** 2 * w + q - lam).tolist()
+            weak = [i for i, x in enumerate(alpha)
+                    if not x >= 2.0 * (1.0 + slack) / (h * h)]
+            tail = weak[-1] + 1 if weak else 0
+            cut = n
+            for r in range(tail, n, sturm1d._CUT_ROWS):
+                d = math.inf
+                for x in alpha[:r]:
+                    d = x - (1.0 / h ** 4) / d
+                if d >= (1.0 + slack) / (h * h):
+                    cut = r
+                    break
+            cuts.append(cut)
+        assert 0 < sum(cuts) < n * m
+        assert swept == cuts
         swept.clear()
         mode_counts(wavy_coeffs, 0.0, 4.0, 50, np.arange(m + 1), 20.0)
         assert swept == []
