@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -99,10 +100,13 @@ def _auto_t_max(end, lam: float) -> float:
     t = end.t0 + 0.5
     cap = end.t0 + 120.0
     while t < cap:
-        samples = np.linspace(t, t + 2.0, 9)
-        if np.all(np.abs(eval_field(end, samples)) >= target):
-            return t + 0.25
-        t += 0.5
+        # the windows [t, t + 2] of up to 16 steps of 0.5 in one evaluation
+        ts = [u for u in accumulate([0.5] * 15, initial=t) if u < cap]
+        samples = np.linspace(ts, np.add(ts, 2.0), 9, axis=1)
+        ok = np.all(np.abs(eval_field(end, samples)) >= target, axis=1)
+        if ok.any():
+            return ts[int(np.argmax(ok))] + 0.25
+        t = ts[-1] + 0.5
     raise DomainError(
         f"field intensity does not reach {target} within the search range")
 
@@ -192,25 +196,36 @@ def _window_chunks(end, t_hi: float, n: int, lam: float):
 
     Each interval is widened to the hull of its own and its right
     neighbour's, so that a mode uncovered only between two samples is
-    still kept.
+    still kept.  With (lo, hi) comes (certificate, first, last) of ranges
+    whose union is each certificate's [ceil lo, floor hi]: one per run of
+    samples whose neighbouring ranges overlap or touch.
     """
     t0 = float(end.t0)
     h = (t_hi - t0) / (n + 1)
     for i in range(0, n + 1, _WINDOW_ROWS):
         j = min(i + _WINDOW_ROWS, n + 1)
         lo, hi = _bound_intervals(end, t0 + h * np.arange(i, j + 1), lam)
-        yield (np.minimum(lo[:, :-1], lo[:, 1:]),
-               np.maximum(hi[:, :-1], hi[:, 1:]))
+        lo, hi = np.minimum(lo[:, :-1], lo[:, 1:]), np.maximum(hi[:, :-1], hi[:, 1:])
+        first, last = np.ceil(lo), np.floor(hi)
+        ok = last >= first
+        new = np.ones(ok.shape, dtype=bool)
+        new[:, 1:] = (~ok[:, :-1] | (first[:, 1:] > last[:, :-1] + 1.0)
+                      | (last[:, 1:] < first[:, :-1] - 1.0))
+        at = np.flatnonzero(new[ok])
+        yield lo, hi, (np.nonzero(ok)[0][at], np.minimum.reduceat(first[ok], at),
+                       np.maximum.reduceat(last[ok], at))
 
 
 def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
     """Sorted modes that no certificate shows empty on [t0, t_max]."""
-    # first pass: the hull of each certificate's uncovered modes
+    # the hull of each certificate's uncovered modes, and those modes
     ell_lo = np.full(_THETA.shape[0], np.inf)
     ell_hi = np.full(_THETA.shape[0], -np.inf)
-    for lo, hi in _window_chunks(end, t_max, n, lam):
+    ranges = []
+    for lo, hi, runs in _window_chunks(end, t_max, n, lam):
         ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
         ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
+        ranges.append(runs)
     lo, hi = float(np.max(ell_lo)), float(np.min(ell_hi))
     # a certificate that covers every mode on every sample leaves its
     # hull empty (lo = +inf, hi = -inf): then no mode is uncovered
@@ -219,16 +234,14 @@ def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
     base, top = math.ceil(lo), math.floor(hi)
     if top < base:
         return np.empty(0, dtype=np.int64)
-    # second pass: per certificate, a difference array over base..top + 1
-    size = top - base + 2
-    marks = np.zeros((_THETA.shape[0], size), dtype=np.int32)
-    for lo, hi in _window_chunks(end, t_max, n, lam):
-        first = np.ceil(np.clip(lo, base, top + 1)).astype(np.int64) - base
-        last = np.floor(np.clip(hi, base - 1, top)).astype(np.int64) - base
-        for row, (f, l) in enumerate(zip(first, last)):
-            keep = l >= f
-            marks[row] += np.bincount(f[keep], minlength=size).astype(np.int32)
-            marks[row] -= np.bincount(l[keep] + 1, minlength=size).astype(np.int32)
+    # per certificate, a difference array over base..top + 1
+    cert, first, last = (np.concatenate(x) for x in zip(*ranges))
+    first = np.clip(first, base, top + 1).astype(np.int64) - base
+    last = np.clip(last, base - 1, top).astype(np.int64) - base
+    keep = last >= first
+    marks = np.zeros((_THETA.shape[0], top - base + 2), dtype=np.int32)
+    np.add.at(marks, (cert[keep], first[keep]), 1)
+    np.subtract.at(marks, (cert[keep], last[keep] + 1), 1)
     np.cumsum(marks, axis=1, out=marks)
     return base + np.nonzero(np.all(marks[:, :-1] > 0, axis=0))[0]
 

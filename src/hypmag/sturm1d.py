@@ -10,11 +10,10 @@ bounds, so they inherit its robustness.
 
 count_below sweeps one operator with a scalar pivot recurrence on Python
 floats (about 0.1 us per row swept).  mode_counts sweeps a family of
-operators (ell - a)^2 w + q on one grid: mode by mode on that recurrence
-up to _NARROW modes, beyond that in numpy lockstep over the modes, whose
-call overhead (about 1.5 us per grid row) is then the smaller cost.
+operators (ell - a)^2 w + q on one grid in numpy lockstep (1.5 to 4 us
+per row) while more than _NARROW modes are in play, then on that recurrence.
 
-The scalar sweeps stop once the count is final, which on a classically
+The sweeps stop once the count is final, which on a classically
 forbidden tail skips most of the grid.  With couplings e_i = sqrt(c2_{i+1})
 (0 past the ends) and s = _SLACK, let every row from r on be dominant,
 alpha_i >= (1 + s)(e_{i-1} + e_i), and the pivot carried into r be
@@ -22,6 +21,16 @@ d >= (1 + s) e_{r-1}.  Then d_i >= (1 + s/2) e_i for every later i: from
 it for i - 1, c2_i / d_{i-1} <= e_{i-1}, so d_i >= (1 + s) e_i + s e_{i-1}
 (a zero is nudged).  No later pivot is negative, and the cut is exact:
 the few ulps each step rounds by are far below the slack s/2.
+
+mode_counts reads the tails off the coefficients.  With lam the largest
+threshold, the modes a row leaves short of dominance with slack 2 s,
+(ell - a)^2 w < lam - q + 4 s/h^2, form one interval a -+ x; outside it
+the computed alpha = 2/h^2 + (ell - a)^2 w + q - lam is dominant with
+slack s, as 16 eps (|lam| + |q|) added to lam - q and 4 eps (x + |a|) to x
+cover the ulps of the terms, their sums and the interval, and the spare
+2 s/h^2 those of 2/h^2.  A non-finite a or q, or a NaN or negative w,
+leaves every mode short; w = +inf (a cusp wall) only a.  A column past
+its cut may sweep on in the lockstep: its pivots stay positive.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ class TridiagonalOperator:
             raise ValueError("diag must be a nonempty 1-d array")
         if off.shape != (diag.size - 1,):
             raise ValueError("off must have length n - 1")
+        with np.errstate(over="ignore"):
+            if not ((diag > -np.inf).all() and np.isfinite(off * off).all()):
+                raise ValueError("diag must be finite or +inf, and off^2 finite")
         # read-only views: _tail_floors caches a summary of them
         diag.flags.writeable = off.flags.writeable = False
         object.__setattr__(self, "diag", diag)
@@ -76,7 +88,7 @@ class TridiagonalOperator:
         """Entry b: every row from b _CUT_ROWS on is dominant for lam <= it.
 
         min diag - (1 + s) radius over those rows (radius from sqrt(off^2),
-        as the sweep sees the couplings; NaN read as -inf), less 2 eps |.|
+        as the sweep sees the couplings), less 2 eps |.|
         for the rounding of diag - lam; built a _COEFF_ROWS block at a time.
         """
         n, mins = self.n, []
@@ -86,8 +98,7 @@ class TridiagonalOperator:
             e = np.sqrt(np.pad(self.off[k0:k1] ** 2, (k0 + 1 - lo, hi - k1)))
             floor = self.diag[lo:hi] - (1.0 + _SLACK) * (e[:-1] + e[1:])
             mins.append(np.minimum.reduceat(floor, np.arange(0, hi - lo, _CUT_ROWS)))
-        f = np.concatenate(mins)
-        f = np.minimum.accumulate(np.where(np.isnan(f), -np.inf, f)[::-1])[::-1]
+        f = np.minimum.accumulate(np.concatenate(mins)[::-1])[::-1]
         return (f * (1.0 - 2.0 * _EPS * np.sign(f))).tolist()
 
 
@@ -195,6 +206,17 @@ _BLOCK_CELLS = 16384
 _NARROW = 16
 
 
+def _lockstep(alpha, d, c2):
+    """Pivots of alpha's rows from those d of the row before (LAPACK xLAEBZ)."""
+    divide, subtract = np.divide, np.subtract
+    piv = np.empty_like(alpha)
+    for a_row, p_row in zip(alpha, piv):
+        divide(c2, d, p_row)
+        subtract(a_row, p_row, p_row)
+        d = p_row
+    return piv
+
+
 def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
                 lam) -> np.ndarray:
     """Strict counts below lam for a family of operators on one grid.
@@ -206,13 +228,12 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     Each count equals count_below on the mode's own operator at its lam
     up to the rounding of its diagonal; memory does not grow with n.
 
-    Up to _NARROW modes run one by one on the scalar recurrence of
-    count_below (about 0.1 us per row swept and mode), each stopping in
-    its dominant tail, which a pass from the far wall finds first; more
-    run it for all modes at once down the whole grid (the lockstep of
-    LAPACK xLAEBZ), in blocks of about _BLOCK_CELLS cells, at two numpy
-    calls (about 1.5 us) per row whatever the width.  A block with a zero
-    pivot is redone on the scalar recurrence.
+    The modes run as columns sorted by ell; a pass over the coefficients
+    from the far wall finds their tails (module docstring) in O(n + modes
+    log n).  The columns in play form one slice, swept in numpy lockstep in
+    blocks of about _BLOCK_CELLS cells (redone on the scalar recurrence at a
+    zero pivot), that every _CUT_ROWS rows drops the columns at its ends
+    past their cuts; at _NARROW columns they finish on count_below's loop.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -224,66 +245,92 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
     counts = np.zeros(m, dtype=np.int64)
     if m == 0:
         return counts
+    order = np.argsort(ells, kind="stable")
+    ells, lam = ells[order], lam[order]
     h = (t_hi - t_lo) / (n + 1)
     inv_h2 = 1.0 / (h * h)
     c2 = inv_h2 * inv_h2
     blocks = [(lo, min(n, lo + _COEFF_ROWS)) for lo in range(0, n, _COEFF_ROWS)]
-    rows = max(1, min(_BLOCK_CELLS // m, _COEFF_ROWS))
-    divide, subtract = np.divide, np.subtract
 
-    def alphas(a, w, q):
-        # alpha = (2/h^2 + (ell - a)^2 w + q) - lam, built in place
-        alpha = ells - a[:, None]
+    def alphas(rows, cols):
+        # alpha = (2/h^2 + (ell - a)^2 w + q) - lam on the block's rows
+        alpha = ells[cols] - a[rows, None]
         alpha *= alpha
-        alpha *= w[:, None]
-        alpha += q[:, None]
+        alpha *= w[rows, None]
+        alpha += q[rows, None]
         np.add(2.0 * inv_h2, alpha, out=alpha)
-        alpha -= lam
+        alpha -= lam[cols]
         return alpha
 
-    tail, final, seen = np.full(m, n), np.zeros(m, dtype=bool), (None, None)
+    # tails from the far wall: a row leaves a -+ x short (NaN x: no mode; unfit: all)
+    top = float(np.max(lam))
+    spare = top + 4.0 * _SLACK * inv_h2 + 16.0 * _EPS * abs(top)
+    tail, hull, seen = np.zeros(m, dtype=np.int64), (np.inf, -np.inf), None
     # an overflowing (ell - a)^2 w is an infinite diagonal: a positive pivot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if m <= _NARROW:
-            # from the far wall: one past each mode's last row that is not
-            # dominant (2 e bounds every radius; NaN is never dominant)
-            thr = 2.0 * (1.0 + _SLACK) * inv_h2
-            tail[:] = 0
-            for lo, hi in reversed(blocks):
-                seen = lo, coeffs(t_lo + h * np.arange(lo + 1, hi + 1))
-                weak = ~(alphas(*seen[1]) >= thr)
-                last = hi - np.argmax(weak[::-1], axis=0)
-                np.maximum(tail, np.where(weak.any(axis=0), last, 0), out=tail)
-                if tail.all():
-                    break
-        prev = np.full(m, math.inf)
+        for lo, hi in reversed(blocks):
+            seen = lo, coeffs(t_lo + h * np.arange(lo + 1, hi + 1))
+            a, w, q = seen[1]
+            r2 = (spare - q + 16.0 * _EPS * np.abs(q)) / w
+            x = np.sqrt(r2) * (1.0 + 4.0 * _EPS) + 4.0 * _EPS * np.abs(a)
+            unfit = ~(np.isfinite(a) & (w >= 0.0) & (r2 == r2))
+            left = np.append(np.where(unfit, -np.inf, a - x), hull[0])
+            right = np.append(np.where(unfit, np.inf, a + x), hull[1])
+            left = np.fmin.accumulate(left[::-1])[::-1]
+            right = np.fmax.accumulate(right[::-1])[::-1]
+            hull = left[0], right[0]
+            k = np.searchsorted(left, ells, "right")
+            np.minimum(k, right.size - np.searchsorted(right[::-1], ells), out=k)
+            k[k > 0] += lo
+            np.maximum(tail, k, out=tail)
+            if hull[0] <= ells[0] and ells[-1] <= hull[1]:
+                break
+        tail = -(-tail // _CUT_ROWS) * _CUT_ROWS
+        prev, final = np.full(m, math.inf), np.zeros(m, dtype=bool)
+        # the slice j0:j1 of columns in play; none is final before row test
+        j0, j1, test = 0, m, int(tail.min())
         for c_lo, c_hi in blocks:
             a, w, q = (seen[1] if c_lo == seen[0]
                        else coeffs(t_lo + h * np.arange(c_lo + 1, c_hi + 1)))
-            for b_lo in range(0, c_hi - c_lo, rows):
-                part = slice(b_lo, b_lo + rows)
-                alpha = alphas(a[part], w[part], q[part])
-                if m > _NARROW:
-                    piv = np.empty_like(alpha)
-                    p = prev
-                    for a_row, p_row in zip(alpha, piv):
-                        divide(c2, p, p_row)
-                        subtract(a_row, p_row, p_row)
-                        p = p_row
-                    if piv.all():
-                        counts += (piv < 0.0).sum(axis=0)
-                        prev = piv[-1].copy()
-                        continue
-                c2s = [c2] * alpha.shape[0]
-                if not c_lo + b_lo:
-                    c2s[0] = 0.0
-                for j in np.flatnonzero(~final):
+            # squared couplings to the row before; none at row 0
+            c2b, r = [c2 * (c_lo > 0)] + [c2] * (c_hi - c_lo - 1), c_lo
+            while r < c_hi:
+                if r == test:
+                    d = prev[j0:j1]
+                    final[j0:j1] |= ((tail[j0:j1] <= r) & (d >= 0.0)
+                                     & (d * d >= (1.0 + _SLACK) ** 2 * c2))
+                    live = ~final[j0:j1]  # argmax: first live one, or 0
+                    j1 -= int(live[::-1].argmax()) if live.any() else j1 - j0
+                    j0 += int(live.argmax())
+                    test = max(r + _CUT_ROWS, int(tail[j0:j1].min(initial=n)))
+                if j1 - j0 <= _NARROW:
+                    break
+                hi = min(c_hi, r + max(1, _BLOCK_CELLS // (j1 - j0)), test)
+                i = slice(r - c_lo, hi - c_lo)
+                alpha = alphas(i, slice(j0, j1))
+                piv = _lockstep(alpha, prev[j0:j1], c2)
+                if piv.all():
+                    counts[j0:j1] += (piv < 0.0).sum(axis=0)
+                    prev[j0:j1] = piv[-1]
+                else:
+                    for j in range(j0, j1):
+                        k, prev[j] = _pivot_sweep(
+                            alpha[:, j - j0].tolist(), c2b[i], float(prev[j]))
+                        counts[j] += k
+                r = hi
+            if r < c_hi and j0 < j1:
+                i = slice(r - c_lo, None)
+                alpha = alphas(i, slice(j0, j1))
+                for j in j0 + np.flatnonzero(~final[j0:j1]):
                     k, prev[j], final[j] = _cut_sweep(
-                        alpha[:, j], c2s, float(prev[j]), int(tail[j]) - c_lo - b_lo)
+                        alpha[:, j - j0], c2b[i], float(prev[j]), tail[j] - r)
                     counts[j] += k
-            if final.all():
+                test = c_hi
+            if final[j0:j1].all():
                 break
-    return counts
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
 
 
 def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> list[float]:

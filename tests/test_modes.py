@@ -1,5 +1,6 @@
 """Mode potentials, the mode window and the batched sweep behind count_end."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -311,3 +312,37 @@ class TestModeWindow:
         res = count_end(end, 1600.0)
         assert res.converged
         assert res.count == 776
+
+
+# The count slots of the benchmark's funnel-scan and cusp-ladder workloads,
+# with their dense-oracle counts (bench/oracle.py: LAPACK on per-mode grids
+# with Richardson extrapolation, apart from hypmag; copied here so that the
+# test reads nothing under bench/).  An integer shift of xi shifts the mode
+# index only, so the count does not change.
+BENCH_COUNTS = [
+    (make_funnel([0.0, 1.0]), 6.0, 18),
+    (make_funnel([0.0, 1.0]), 10.0, 57),
+    (make_funnel([0.0, 0.0, 1.0]), 25.0, 65),
+    (make_funnel([0.0, 0.0, 1.0]), 50.0, 190),
+    (make_funnel([0.5, 1.0], tau=0.7, t0=0.1, xi=0.3), 12.0, 55),
+    (make_funnel([0.0, 1.4], tau=1.3, t0=0.2, xi=0.45), 9.0, 38),
+    (make_funnel([0.3, 0.0, 0.8], tau=0.8, t0=0.05, xi=-0.35), 30.0, 76),
+    (make_funnel([0.0, 0.6, 0.5], tau=1.1, xi=0.15), 20.0, 64),
+    (make_cusp([0.0, 1.0]), 400.0, 192),
+    (make_cusp([0.0, 1.0]), 800.0, 390),
+    (make_cusp([0.0, 1.0]), 1600.0, 776),
+    (make_cusp([0.0, 1.0]), 3200.0, 1571),
+    (make_cusp([0.0, 1.0]), 6400.0, 3160),
+    (make_cusp([0.0, 0.7, 0.2], L=0.8, t0=0.3, xi=0.25), 400.0, 108),
+    (make_cusp([0.0, 0.7, 0.2], L=0.8, t0=0.3, xi=0.25), 1600.0, 456),
+    (make_cusp([0.5, 1.5], L=1.4, t0=-0.2, xi=-0.3), 800.0, 659),
+]
+
+
+class TestBenchCounts:
+    @pytest.mark.parametrize("shift", [-20, 0, 40])
+    def test_converged_and_equal_to_the_oracle(self, shift):
+        for end, lam, want in BENCH_COUNTS:
+            res = count_end(dataclasses.replace(end, xi=end.xi + shift), lam)
+            assert res.converged, (end, lam, shift)
+            assert res.count == want, (end, lam, shift)

@@ -183,18 +183,26 @@ class TestDominantTailCut:
             assert count_below(T, 2.0) == full_count_below(T, 2.0) == (n - 1) // 2
 
     def test_nonfinite_rows_never_cut(self):
-        # NaN and infinite entries anywhere, and an overflowing cusp wall
+        # infinite and huge diagonal entries anywhere (an overflowing cusp
+        # wall among them) are kept; NaN, -inf on the diagonal and couplings
+        # that are not finite or whose square overflows are refused
         rng = np.random.default_rng(17)
         for _ in range(300):
             T, lam = tailed_operator(rng)
             diag, off = T.diag.copy(), T.off.copy()
-            bad = diag if off.size == 0 or rng.random() < 0.7 else off
-            where = rng.integers(0, bad.size, int(rng.integers(1, 4)))
-            bad[where] = rng.choice([np.nan, np.inf, -np.inf, 1e200], where.size)
+            where = rng.integers(0, diag.size, int(rng.integers(1, 4)))
+            diag[where] = rng.choice([np.inf, 1e200], where.size)
             T = TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
                                     h=T.h)
-            with np.errstate(over="ignore", invalid="ignore"):  # 1e200^2
-                assert count_below(T, lam) == full_count_below(T, lam)
+            assert count_below(T, lam) == full_count_below(T, lam)
+            for name, value in (("diag", np.nan), ("diag", -np.inf),
+                                ("off", np.nan), ("off", np.inf),
+                                ("off", -np.inf), ("off", 1e200)):
+                entries = {"diag": diag.copy(), "off": off.copy()}
+                if entries[name].size:
+                    entries[name][rng.integers(0, entries[name].size)] = value
+                    with pytest.raises(ValueError):
+                        TridiagonalOperator(**entries, t_lo=0.0, t_hi=1.0, h=T.h)
         n = 3000
         t = np.linspace(340.0, 360.0, n)
         with np.errstate(over="ignore"):
@@ -209,8 +217,8 @@ class TestDominantTailCut:
     def test_mode_counts_every_width(self, monkeypatch, form):
         # families whose modes leave the well into a rising wall (cusp-like,
         # overflowing for the wall at 356), per-mode thresholds, grids on
-        # either side of _COEFF_ROWS
-        widths = range(1, sturm1d._NARROW + 2)
+        # either side of _COEFF_ROWS; the wide widths run the lockstep slice
+        widths = [*range(1, sturm1d._NARROW + 2), 24, 40, 59]
         if form != "default":
             monkeypatch.setattr(sturm1d, "_NARROW",
                                 0 if form == "lockstep" else 10**9)
@@ -375,6 +383,104 @@ def wavy_coeffs(t):
     return 3.0 * np.sin(t), 1.0 + t, 0.25 + 0.0 * t
 
 
+def cusp_coeffs(t):
+    """A cusp-like family: the gauge settles, w grows like e^{2t}."""
+    return 0.3 + 0.5 * np.exp(-t), np.exp(2.0 * t), 0.25 + 0.0 * t
+
+
+def mode_alphas(coeffs, t_lo, t_hi, n, ells, lams):
+    """Per mode, its diagonal minus its lam, rounded as mode_counts does."""
+    h = (t_hi - t_lo) / (n + 1)
+    inv_h2 = 1.0 / (h * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, w, q = coeffs(t_lo + h * np.arange(1, n + 1))
+        return [(2.0 * inv_h2 + ((ell - a) * (ell - a) * w + q) - lam).tolist()
+                for ell, lam in zip(ells, lams)], inv_h2
+
+
+def dominant_tails(coeffs, t_lo, t_hi, n, ells, lam_max):
+    """Per mode, one past the last row whose suffix hull of the modes short
+    of dominance with slack 2 _SLACK holds it, rounded up to _CUT_ROWS
+    (for w > 0; a NaN row holds every mode)."""
+    h = (t_hi - t_lo) / (n + 1)
+    a, w, q = coeffs(t_lo + h * np.arange(1, n + 1))
+    lo, hi, hulls = math.inf, -math.inf, []
+    for i in reversed(range(n)):
+        r2 = (lam_max - q[i] + 4.0 * sturm1d._SLACK / (h * h)) / w[i]
+        if not r2 == r2 or not a[i] == a[i]:
+            lo, hi = -math.inf, math.inf
+        elif r2 >= 0.0:
+            lo = min(lo, a[i] - math.sqrt(r2))
+            hi = max(hi, a[i] + math.sqrt(r2))
+        hulls.append((i + 1, lo, hi))
+    step = sturm1d._CUT_ROWS
+    return [-(-next((i for i, lo, hi in hulls if lo <= ell <= hi), 0) // step)
+            * step for ell in ells]
+
+
+def pivot_cut(alpha, c2, tail):
+    """First multiple r >= tail of _CUT_ROWS whose carried pivot dominates
+    the coupling, or len(alpha)."""
+    d = math.inf
+    for r, x in enumerate(alpha):
+        if (r >= tail and r % sturm1d._CUT_ROWS == 0 and d >= 0.0
+                and d * d >= (1.0 + sturm1d._SLACK) ** 2 * c2):
+            return r
+        d = x - c2 / d
+    return len(alpha)
+
+
+def slice_rows(cuts, n, narrow):
+    """Rows each column sweeps in the lockstep, and the rows of each scalar
+    call in order: every _CUT_ROWS rows the slice of sorted columns drops
+    the ends past their cuts, and once it holds at most narrow columns
+    those not past their cuts finish alone, one coefficient block at a
+    time."""
+    m, j0, j1 = len(cuts), 0, len(cuts)
+    lock = [n] * m
+    for r in range(0, n, sturm1d._CUT_ROWS):
+        while j0 < j1 and cuts[j0] <= r:
+            lock[j0], j0 = r, j0 + 1
+        while j1 > j0 and cuts[j1 - 1] <= r:
+            lock[j1 - 1], j1 = r, j1 - 1
+        if j1 - j0 <= narrow:
+            lock[j0:j1] = [r] * (j1 - j0)
+            calls = []
+            for lo in range(0, n, sturm1d._COEFF_ROWS):
+                hi, start = min(n, lo + sturm1d._COEFF_ROWS), max(r, lo)
+                calls += [min(cuts[j], hi) - start for j in range(j0, j1)
+                          if start < hi and cuts[j] > start]
+            return lock, calls
+    return lock, []
+
+
+def record_sweeps(monkeypatch, m):
+    """Rows each column sweeps in the lockstep, and rows per scalar call."""
+    lock, calls = [0] * m, []
+    lockstep, cut_sweep = sturm1d._lockstep, sturm1d._cut_sweep
+    pivot_sweep = sturm1d._pivot_sweep
+
+    def counted_lockstep(alpha, d, c2):
+        # d is the slice of the sorted columns' pivots
+        start = d.__array_interface__["data"][0]
+        j0 = (start - d.base.__array_interface__["data"][0]) // d.itemsize
+        for j in range(j0, j0 + d.size):
+            lock[j] += alpha.shape[0]
+        return lockstep(alpha, d, c2)
+
+    def counted_cut(alpha, c2s, d, tail):
+        calls.append(0)
+        return cut_sweep(alpha, c2s, d, tail)
+
+    def counted_pivot(alpha, c2s, d):
+        calls[-1] += len(alpha)
+        return pivot_sweep(alpha, c2s, d)
+    monkeypatch.setattr(sturm1d, "_lockstep", counted_lockstep)
+    monkeypatch.setattr(sturm1d, "_cut_sweep", counted_cut)
+    monkeypatch.setattr(sturm1d, "_pivot_sweep", counted_pivot)
+    return lock, calls
+
+
 class TestModeCounts:
     def test_matches_dense_per_mode(self):
         # fractional modes and many of them: the pivot recurrence runs in
@@ -474,42 +580,64 @@ class TestModeCounts:
             assert got.tolist() == want
 
     def test_narrow_batches_take_the_scalar_form(self, monkeypatch):
-        swept = []
-        scalar = sturm1d._pivot_sweep
-
-        def counted(alpha, c2s, d):
-            if d == math.inf:  # the first rows of the next mode
-                swept.append(0)
-            swept[-1] += len(alpha)
-            return scalar(alpha, c2s, d)
-        monkeypatch.setattr(sturm1d, "_pivot_sweep", counted)
-        m, n, lam = sturm1d._NARROW, 50, 20.0
+        # each mode runs alone from row 0 and stops at the first multiple of
+        # _CUT_ROWS in its dominant tail whose pivot dominates the coupling
+        m, n, lam = sturm1d._NARROW, 300, 20.0
+        lock, calls = record_sweeps(monkeypatch, m)
         mode_counts(wavy_coeffs, 0.0, 4.0, n, np.arange(m), lam)
-        # each mode stops at the first tested row of its dominant tail
-        # whose pivot dominates the coupling (every _CUT_ROWS rows)
-        h = 4.0 / (n + 1)
-        a, w, q = wavy_coeffs(h * np.arange(1, n + 1))
-        slack = sturm1d._SLACK
-        cuts = []
-        for ell in range(m):
-            alpha = (2.0 / (h * h) + (ell - a) ** 2 * w + q - lam).tolist()
-            weak = [i for i, x in enumerate(alpha)
-                    if not x >= 2.0 * (1.0 + slack) / (h * h)]
-            tail = weak[-1] + 1 if weak else 0
-            cut = n
-            for r in range(tail, n, sturm1d._CUT_ROWS):
-                d = math.inf
-                for x in alpha[:r]:
-                    d = x - (1.0 / h ** 4) / d
-                if d >= (1.0 + slack) / (h * h):
-                    cut = r
-                    break
-            cuts.append(cut)
+        alphas, inv_h2 = mode_alphas(wavy_coeffs, 0.0, 4.0, n, range(m), [lam] * m)
+        tails = dominant_tails(wavy_coeffs, 0.0, 4.0, n, range(m), lam)
+        cuts = [pivot_cut(x, inv_h2 * inv_h2, tail) for x, tail in zip(alphas, tails)]
         assert 0 < sum(cuts) < n * m
-        assert swept == cuts
-        swept.clear()
-        mode_counts(wavy_coeffs, 0.0, 4.0, 50, np.arange(m + 1), 20.0)
-        assert swept == []
+        assert lock == [0] * m
+        assert calls == [cut for cut in cuts if cut]
+
+    @pytest.mark.parametrize("n", [sturm1d._COEFF_ROWS + 300, 3000])
+    def test_wide_batches_sweep_to_their_cuts(self, monkeypatch, n):
+        # a cusp-like family counted at lam and just below it, as count_end
+        # does: the lockstep slice narrows from its ends at the cuts and
+        # hands its last columns to the scalar recurrence
+        ells = np.repeat(np.arange(-12.0, 12.0), 2)
+        lams = np.tile([400.0, 399.5], 24)
+        lock, calls = record_sweeps(monkeypatch, ells.size)
+        got = mode_counts(cusp_coeffs, 0.0, 4.0, n, ells, lams)
+        alphas, inv_h2 = mode_alphas(cusp_coeffs, 0.0, 4.0, n, ells, lams)
+        tails = dominant_tails(cusp_coeffs, 0.0, 4.0, n, ells, 400.0)
+        cuts = [pivot_cut(x, inv_h2 * inv_h2, tail) for x, tail in zip(alphas, tails)]
+        want_lock, want_calls = slice_rows(cuts, n, sturm1d._NARROW)
+        assert lock == want_lock
+        assert calls == want_calls
+        # each column sweeps to its cut, or on to where the slice drops it
+        # while a column on its outer side is still in play; the scalar
+        # calls finish the others exactly at their cuts
+        assert sum(calls) == sum(max(cut - x, 0) for x, cut in zip(lock, cuts))
+        swept = [max(x, cut) for x, cut in zip(lock, cuts)]
+        assert sum(calls) > 0 and 0 < sum(swept) < n * ells.size // 2
+        c2s = [0.0] + [inv_h2 * inv_h2] * (n - 1)
+        assert got.tolist() == [full_sweep(x, c2s) for x in alphas]
+
+    @pytest.mark.parametrize("m", [sturm1d._NARROW, 40])
+    def test_nan_rows_are_never_cut(self, monkeypatch, m):
+        # a NaN coefficient makes its row short of dominance for every mode,
+        # so no column stops before it, whichever form sweeps it
+        n, nan_row = 2 * sturm1d._COEFF_ROWS, 1500
+        h = 4.0 / (n + 1)
+
+        def coeffs(t):
+            a, w, q = cusp_coeffs(t)
+            return a, w, np.where(np.abs(t - h * (nan_row + 1)) < h / 2, np.nan, q)
+
+        monkeypatch.setattr(sturm1d, "_NARROW", 0 if m > 16 else 10**9)
+        ells = np.linspace(-9.0, 9.0, m)
+        lock, calls = record_sweeps(monkeypatch, m)
+        got = mode_counts(coeffs, 0.0, 4.0, n, ells, 300.0)
+        # no column is final before the NaN row, so each takes one scalar
+        # call per coefficient block in the narrow form
+        scalar = np.reshape(calls, (-1, m)).sum(axis=0) if calls else 0
+        assert min(np.add(lock, scalar)) > nan_row
+        alphas, _ = mode_alphas(coeffs, 0.0, 4.0, n, ells, [300.0] * m)
+        c2s = [0.0] + [1.0 / h ** 4] * (n - 1)
+        assert got.tolist() == [full_sweep(x, c2s) for x in alphas]
 
     def test_harmonic_oscillator(self):
         # w = 0, q = t^2: the levels 2k + 1 of the full line, which the
