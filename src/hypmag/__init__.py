@@ -18,7 +18,7 @@ from .model import (BoundedFieldError, CuspEnd, DomainError, FunnelEnd,
                     GrowthReport, NonConstantFieldError, RadialField,
                     SurfaceEnds, check_growth_hypotheses, cusp_area,
                     eval_field, gauge_function, gauge_limit)
-from .modes import CountResult, EndOptions, count_end, mode_potential
+from .modes import CountResult, count_end, mode_potential
 from .sturm1d import (TridiagonalOperator, count_below, discretize,
                       lowest_eigenvalues)
 from .weyl import (ExponentFit, HypWReport, WeylOptions, check_hypW,
@@ -31,7 +31,6 @@ __all__ = [
     "CountResult",
     "CuspEnd",
     "DomainError",
-    "EndOptions",
     "ExponentFit",
     "FunnelEnd",
     "GrowthReport",

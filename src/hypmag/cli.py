@@ -19,7 +19,7 @@ from .essential import (MorseOptions, cusp_is_integral, essential_spectrum,
 from .landau import landau_count, landau_level_set
 from .model import (CUSP_KIND, FUNNEL_KIND, CuspEnd, FunnelEnd, RadialField,
                     SurfaceEnds, check_growth_hypotheses)
-from .modes import EndOptions, count_end
+from .modes import count_end
 from .weyl import WeylOptions, fit_exponent, theorem1_bracket, weyl_integral
 
 SCHEMA_VERSION = 1
@@ -41,10 +41,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceConfig:
-    """A parsed config: model ends in config order and the option objects."""
+    """A parsed config: model ends in config order, the right wall t_max
+    of count_end (None: chosen per end and lambda) and the Weyl options."""
 
     ends: tuple[FunnelEnd | CuspEnd, ...]
-    end_options: EndOptions
+    t_max: float | None
     weyl_options: WeylOptions
 
     @property
@@ -52,10 +53,6 @@ class SurfaceConfig:
         return SurfaceEnds(
             funnels=tuple(e for e in self.ends if isinstance(e, FunnelEnd)),
             cusps=tuple(e for e in self.ends if isinstance(e, CuspEnd)))
-
-
-def _type_name(end) -> str:
-    return "funnel" if isinstance(end, FunnelEnd) else "cusp"
 
 
 def _want(obj, key, types, path):
@@ -116,7 +113,7 @@ def _parse_end(obj, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_numerics(obj, path) -> tuple[EndOptions, WeylOptions]:
+def _parse_numerics(obj, path) -> tuple[float | None, WeylOptions]:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: must be an object")
     _no_extras(obj, {"t_max", "quad_tol", "delta", "bracket_C"}, path)
@@ -133,7 +130,7 @@ def _parse_numerics(obj, path) -> tuple[EndOptions, WeylOptions]:
                 WeylOptions(**{key: weyl[key]})
             except ValueError as exc:
                 raise ConfigError(f"{path}.{key}: {exc}") from exc
-    return EndOptions(t_max=t_max), WeylOptions(**weyl)
+    return t_max, WeylOptions(**weyl)
 
 
 def parse_config(obj) -> SurfaceConfig:
@@ -150,32 +147,9 @@ def parse_config(obj) -> SurfaceConfig:
         raise ConfigError("config.ends: need at least one end")
     ends = tuple(_parse_end(e, f"config.ends[{i}]")
                  for i, e in enumerate(ends_raw))
-    end_options, weyl_options = _parse_numerics(obj.get("numerics", {}),
-                                                "config.numerics")
-    return SurfaceConfig(ends=ends, end_options=end_options,
-                         weyl_options=weyl_options)
-
-
-def config_to_dict(cfg: SurfaceConfig) -> dict:
-    """Serialized form; parse_config(config_to_dict(cfg)) == cfg."""
-    ends = []
-    for end in cfg.ends:
-        typ = _type_name(end)
-        _, scale_key, kind, _ = _END_TYPES[typ]
-        ends.append({
-            "type": typ,
-            scale_key: getattr(end, scale_key),
-            "t0": end.t0,
-            "xi": end.xi,
-            "field": {"kind": kind, "coeffs": list(end.field.coeffs)},
-        })
-    w = cfg.weyl_options
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "ends": ends,
-        "numerics": {"t_max": cfg.end_options.t_max, "quad_tol": w.quad_tol,
-                     "delta": w.delta, "bracket_C": w.bracket_C},
-    }
+    t_max, weyl_options = _parse_numerics(obj.get("numerics", {}),
+                                          "config.numerics")
+    return SurfaceConfig(ends=ends, t_max=t_max, weyl_options=weyl_options)
 
 
 def load_config(path: str) -> SurfaceConfig:
@@ -260,7 +234,7 @@ def _sum_counts(cfg: SurfaceConfig, lam: float):
     total = 0
     converged = True
     for end in cfg.ends:
-        res = count_end(end, lam, cfg.end_options)
+        res = count_end(end, lam, cfg.t_max)
         total += res.count
         converged = converged and res.converged
     return total, converged
@@ -286,7 +260,7 @@ def _cmd_sset(args) -> int:
 def _cmd_count_end(args) -> int:
     cfg = load_config(args.config)
     end = _pick_end(cfg, args.end)
-    res = count_end(end, args.lam, cfg.end_options)
+    res = count_end(end, args.lam, cfg.t_max)
     if args.json:
         payload = {
             "count": res.count,
@@ -405,7 +379,7 @@ def _cmd_hypcheck(args) -> int:
         all_hold = all_hold and ok
         reports.append({
             "index": i,
-            "type": _type_name(end),
+            "type": "funnel" if isinstance(end, FunnelEnd) else "cusp",
             "h0": rep.h0,
             "h1_or_h2": rep.h1_or_h2,
             "witness": None if math.isinf(rep.witness) else rep.witness,

@@ -12,7 +12,7 @@ The Morse-model check discretizes the half-line operator
 D_s^2 + 1/4 + (beta - e^s)^2 that arises as the zero-mode limit of the
 funnel problem and compares its low eigenvalues against the explicit
 ladder; the finite-radius variant keeps the Dirichlet wall at
-s = ln(2 rho) - t0 and tracks the lowest eigenvalue as rho grows.
+s = ln(2 rho) and tracks the lowest eigenvalue as rho grows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .landau import ess_bottom, landau_level_set
-from .model import CuspEnd, NonConstantFieldError, SurfaceEnds, gauge_limit
+from .model import (CuspEnd, NonConstantFieldError, SurfaceEnds, finite,
+                    gauge_limit)
 from .sturm1d import count_below, discretize, lowest_eigenvalues
 
 # tolerance for deciding that a limiting gauge value is an integer
@@ -43,10 +44,10 @@ def holonomy(end: CuspEnd) -> float:
     return 2.0 * math.pi * gauge_limit(end)
 
 
-def cusp_is_integral(end: CuspEnd, tol: float = INTEGER_TOL) -> bool:
+def cusp_is_integral(end: CuspEnd) -> bool:
     """Whether the limiting gauge value sits on the integer lattice."""
     a_inf = gauge_limit(end)
-    return abs(a_inf - round(a_inf)) <= tol
+    return abs(a_inf - round(a_inf)) <= INTEGER_TOL
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,12 @@ class SpectrumSet:
             raise ValueError("points must be strictly increasing")
 
 
-def essential_spectrum(ends: SurfaceEnds, tol: float = INTEGER_TOL) -> SpectrumSet:
+def essential_spectrum(ends: SurfaceEnds) -> SpectrumSet:
     """Essential spectrum of the magnetic Laplacian with constant end fields."""
     funnel_betas = [_constant_value(f) for f in ends.funnels]
     cusp_bs = [_constant_value(c) for c in ends.cusps]
     integral_bs = [b for c, b in zip(ends.cusps, cusp_bs)
-                   if cusp_is_integral(c, tol)]
+                   if cusp_is_integral(c)]
 
     if not (funnel_betas or integral_bs):
         return SpectrumSet(bottom=None, points=(), empty=True)
@@ -100,24 +101,27 @@ def _reversed(T):
     return replace(T, diag=T.diag[::-1], off=T.off[::-1])
 
 
+# morse_check counts eigenvalues up to _MARGIN below the essential bottom,
+# bisects them to _EIG_TOL, and calls them converged when the doubled
+# window moves none by more than _WINDOW_TOL + 10 _EIG_TOL
+_MARGIN = 0.05
+_EIG_TOL = 1e-7
+_WINDOW_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class MorseOptions:
+    """Log-coordinate window (s_lo, s_hi) and interior point count n."""
+
     s_lo: float = -20.0
     s_hi: float = 4.0
     n: int = 8000
-    margin: float = 0.05
-    eig_tol: float = 1e-7
-    window_tol: float = 1e-6
 
     def __post_init__(self):
         if self.s_hi <= self.s_lo:
             raise ValueError("window must satisfy s_lo < s_hi")
         if self.n < 16:
             raise ValueError("need at least 16 interior points")
-        if self.margin < 0.0:
-            raise ValueError("margin must be >= 0")
-        if not (self.eig_tol > 0.0 and self.window_tol >= 0.0):
-            raise ValueError("need eig_tol > 0 and window_tol >= 0")
 
 
 @dataclass(frozen=True)
@@ -147,9 +151,9 @@ def funnel_limit_potential(beta: float):
 def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
     """Compare discretized Morse eigenvalues against the explicit ladder.
 
-    Eigenvalues are extracted below (1 - margin-relative) of the
-    essential bottom 1/4 + beta^2; a doubled window at the same mesh
-    size decides convergence.
+    Eigenvalues are extracted up to _MARGIN below the essential bottom
+    1/4 + beta^2; a doubled window at the same mesh size decides
+    convergence.
     """
     opts = opts or MorseOptions()
     beta = float(beta)
@@ -159,14 +163,14 @@ def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
     s_hi = max(opts.s_hi, math.log(2.5 * (abs(beta) + 1.0)))
     s_lo = opts.s_lo
     V = funnel_limit_potential(beta)
-    threshold = ess_bottom(beta) - opts.margin
+    threshold = ess_bottom(beta) - _MARGIN
 
     def low_eigs(lo, hi, n):
         T = _reversed(discretize(V, lo, hi, n))
         k = count_below(T, threshold)
         if k == 0:
             return ()
-        return lowest_eigenvalues(T, k, tol=opts.eig_tol)
+        return lowest_eigenvalues(T, k, tol=_EIG_TOL)
 
     h = (s_hi - s_lo) / (opts.n + 1)
     eigs = low_eigs(s_lo, s_hi, opts.n)
@@ -175,7 +179,7 @@ def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
     n2 = int(round(2.0 * width / h)) - 1
     eigs2 = low_eigs(s_lo - 0.5 * width, s_hi + 0.5 * width, n2)
     converged = (len(eigs) == len(eigs2)
-                 and all(abs(a - b) <= opts.window_tol + 10.0 * opts.eig_tol
+                 and all(abs(a - b) <= _WINDOW_TOL + 10.0 * _EIG_TOL
                          for a, b in zip(eigs, eigs2)))
     if len(eigs) != len(predicted):
         err = math.inf
@@ -212,17 +216,17 @@ def _rho_potential(beta: float, rho: float):
     return V
 
 
-def funnel_mode_limit_check(beta: float, rhos, t0: float = 0.0) -> LimitReport:
+def funnel_mode_limit_check(beta: float, rhos) -> LimitReport:
     """Lowest eigenvalue of the finite-radius mode well as rho grows.
 
-    rho stands for |ell - xi| / tau of a constant-field funnel mode.  In
-    log coordinates the operator lives on s in (-oo, ln(2 rho) - t0]
+    rho stands for |ell - xi| / tau of a constant-field funnel mode with
+    t0 = 0.  In log coordinates the operator lives on s in (-oo, ln(2 rho)]
     with a Dirichlet wall at the right edge only; its potential tends to
     the Morse well, so the lowest eigenvalue tends to the bottom of the
     ladder when nonempty, else to the essential bottom 1/4 + beta^2.
     """
     beta = float(beta)
-    rhos = [float(r) for r in rhos]
+    rhos = [finite("rho", r) for r in rhos]
     if not rhos or any(r <= 0.0 for r in rhos):
         raise ValueError("rho values must be positive")
     ladder = landau_level_set(beta).levels
@@ -230,7 +234,7 @@ def funnel_mode_limit_check(beta: float, rhos, t0: float = 0.0) -> LimitReport:
     lowest = []
     for rho in rhos:
         pot = _rho_potential(beta, rho)
-        s_max = math.log(2.0 * rho) - t0
+        s_max = math.log(2.0 * rho)
         s_lo = min(-40.0, s_max - 30.0)
         n = max(4000, int((s_max - s_lo) / 0.004))
         T = _reversed(discretize(pot, s_lo, s_max, n))

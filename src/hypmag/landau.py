@@ -19,9 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import finite
+
 
 def landau_count(mu: float, b: float) -> float:
     """Scaled count of Landau levels strictly below mu for intensity b >= 0."""
+    mu, b = finite("mu", mu), finite("b", b)
     if b < 0.0:
         raise ValueError(f"intensity b must be >= 0, got {b}")
     if mu <= 0.0:
@@ -31,7 +34,7 @@ def landau_count(mu: float, b: float) -> float:
     # #{k >= 0 : (2k+1) b < mu} = ceil((mu - b) / (2b)), clipped at 0.
     # The ceil form is exact at the jump points mu = (2k+1) b.
     k = math.ceil((mu - b) / (2.0 * b))
-    return float(b) * max(0, k)
+    return b * max(0, k)
 
 
 def ess_bottom(beta: float) -> float:
@@ -49,12 +52,11 @@ class LandauLevelSet:
 
 def landau_level_set(beta: float) -> LandauLevelSet:
     """Levels (2j+1)|beta| - j(j+1) for j < |beta| - 1/2; empty iff |beta| <= 1/2."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+    beta = finite("beta", beta)
     a = abs(beta)
     levels = []
     j = 0
     while j < a - 0.5:
         levels.append((2 * j + 1) * a - j * (j + 1))
         j += 1
-    return LandauLevelSet(beta=float(beta), levels=tuple(levels))
+    return LandauLevelSet(beta=beta, levels=tuple(levels))

@@ -46,6 +46,14 @@ class NonConstantFieldError(ValueError):
     """Operation requires a constant field profile."""
 
 
+def finite(name: str, x) -> float:
+    """x as a float, or a ValueError naming the argument if it is not finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class RadialField:
     """Signed polynomial field profile in the end's canonical variable.

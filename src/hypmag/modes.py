@@ -49,7 +49,7 @@ from itertools import accumulate
 import numpy as np
 
 from .model import (BoundedFieldError, DomainError, FunnelEnd, eval_field,
-                    gauge_function)
+                    finite, gauge_function)
 from .sturm1d import mode_counts
 
 
@@ -74,24 +74,11 @@ _N0_MIN = 48
 _POINTS_PER_WAVELENGTH = 72.0
 
 
-@dataclass(frozen=True)
-class EndOptions:
-    """Controls for the mode sweep of a single end.
-
-    t_max fixes the right Dirichlet wall.  A window of more than
-    max_modes modes is not swept, and a mode still undecided on the last
-    of max_refinements grids is reported with converged=False.
-    """
-
-    t_max: float | None = None
-    max_modes: int = 200000
-    max_refinements: int = 8
-
-    def __post_init__(self):
-        if self.t_max is not None and not math.isfinite(self.t_max):
-            raise ValueError(f"t_max must be finite, got {self.t_max}")
-        if self.max_modes < 1 or self.max_refinements < 1:
-            raise ValueError("max_modes and max_refinements must be >= 1")
+# a window of more than _MAX_MODES modes is not swept, and a mode still
+# undecided on the last of _MAX_REFINEMENTS grids is reported with
+# converged=False
+_MAX_MODES = 200000
+_MAX_REFINEMENTS = 8
 
 
 def _auto_t_max(end, lam: float) -> float:
@@ -145,12 +132,12 @@ def mode_potential(end, ell: int):
     return V
 
 
-def _shared_grid(end, lam: float, opts: EndOptions) -> tuple[float, int]:
+def _shared_grid(end, lam: float, t_max: float | None) -> tuple[float, int]:
     """Right wall and interior point count of the first shared grid."""
     t0 = float(end.t0)
-    t_max = float(opts.t_max) if opts.t_max is not None else _auto_t_max(end, lam)
-    if not (t_max > t0):
-        raise ValueError(f"t_max={t_max} must exceed t0={t0}")
+    t_max = float(t_max) if t_max is not None else _auto_t_max(end, lam)
+    if not (math.isfinite(t_max) and t_max > t0):
+        raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
     per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
     return t_max, max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
 
@@ -246,50 +233,48 @@ def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
     return base + np.nonzero(np.all(marks[:, :-1] > 0, axis=0))[0]
 
 
-def mode_window(end, lam: float, opts: EndOptions | None = None) -> np.ndarray:
+def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
     """Modes count_end sweeps: those no magnetic lower bound certifies empty.
 
     Every mode outside the returned sorted array has, for some theta and
     s, q + s theta W' + (1 - theta) W^2 >= lambda on every sample of
     [t0, t_max] (see the module docstring), so no eigenvalue below lam.
     """
-    opts = opts or EndOptions()
-    lam = float(lam)
+    lam = finite("lam", lam)
     if lam <= 0.25:
         return np.empty(0, dtype=np.int64)
-    t_max, n = _shared_grid(end, lam, opts)
+    t_max, n = _shared_grid(end, lam, t_max)
     return _window(end, lam, t_max, n)
 
 
-def count_end(end, lam: float, opts: EndOptions | None = None) -> CountResult:
+def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
     """Dirichlet eigenvalue count of the end below lam, summed over modes.
 
-    The end is cut at t_hi (EndOptions.t_max, or where the field
-    intensity stays above 4*lambda) with a Dirichlet wall there.  n is
-    the number of interior points of the finest shared grid any mode of
-    the window was counted on, and mode_range the smallest interval
+    The end is cut at t_hi (t_max, or where the field intensity stays
+    above 4*lambda) with a Dirichlet wall there.  n is the number of
+    interior points of the finest shared grid any mode of the window
+    was counted on, and mode_range the smallest interval
     holding every mode with an eigenvalue below lam (None when no mode
     contributes).  converged is False when a mode is still undecided on
-    the last of max_refinements grids, or when the window held more than
-    max_modes modes; the window is then not swept and the count is 0.
+    the last of _MAX_REFINEMENTS grids, or when the window held more than
+    _MAX_MODES modes; the window is then not swept and the count is 0.
     """
-    opts = opts or EndOptions()
     if not end.field.unbounded:
         raise BoundedFieldError(
             "constant field: the essential spectrum reaches lambda and the "
             "mode sum diverges")
-    lam = float(lam)
+    lam = finite("lam", lam)
     if lam <= 0.25:
         return CountResult(count=0, lam=lam, n=0, t_hi=float(end.t0),
                            converged=True)
-    t_max, n = _shared_grid(end, lam, opts)
+    t_max, n = _shared_grid(end, lam, t_max)
     ells = _window(end, lam, t_max, n)
-    if ells.size > opts.max_modes:
+    if ells.size > _MAX_MODES:
         return CountResult(count=0, lam=lam, n=n, t_hi=t_max, converged=False)
     coeffs = partial(_coefficients, end)
     counts = np.zeros(ells.size, dtype=np.int64)
     active = np.arange(ells.size)
-    for sweep in range(opts.max_refinements):
+    for sweep in range(_MAX_REFINEMENTS):
         if sweep:
             n *= 2
         h = (t_max - end.t0) / (n + 1)

@@ -102,23 +102,12 @@ class TridiagonalOperator:
         return (f * (1.0 - 2.0 * _EPS * np.sign(f))).tolist()
 
 
-def _veval(V, x):
-    """Evaluate a potential on a 1-d grid, tolerating scalar-only callables."""
-    x = np.asarray(x, dtype=float)
-    try:
-        vals = np.asarray(V(x), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != x.shape:
-        vals = np.array([float(V(float(xi))) for xi in x], dtype=float)
-    return vals
-
-
 def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
     """3-point Dirichlet discretization of -d^2/dt^2 + V on (t_lo, t_hi).
 
     Uses n interior points with spacing h = (t_hi - t_lo) / (n + 1);
-    diagonal 2/h^2 + V(t_i), off-diagonal -1/h^2.
+    diagonal 2/h^2 + V(t_i), off-diagonal -1/h^2.  V is called once on
+    the array of grid points; a scalar result is broadcast.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -126,7 +115,7 @@ def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
         raise ValueError("need at least one interior grid point")
     h = (t_hi - t_lo) / (n + 1)
     grid = t_lo + h * np.arange(1, n + 1)
-    vals = _veval(V, grid)
+    vals = np.broadcast_to(np.asarray(V(grid), dtype=float), grid.shape)
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
         raise ValueError(

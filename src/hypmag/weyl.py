@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (BoundedFieldError, CuspEnd, FunnelEnd, RadialField,
-                    SurfaceEnds, eval_field, gauge_function)
+                    SurfaceEnds, eval_field, finite, gauge_function)
 
 _GRID = 4096            # samples of b~ on [t0, t_end] in the first pass
 _MAX_GRID = 1 << 18     # finest sample grid before the piece check gives up
@@ -228,14 +228,14 @@ def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
 def weyl_integral(ends, lam: float, opts: WeylOptions | None = None) -> float:
     """Semiclassical eigenvalue count below lam, summed over the given ends."""
     opts = opts or WeylOptions()
-    mu = float(lam) - 0.25
+    mu = finite("lam", lam) - 0.25
     return sum(_integral_over_end(end, mu, opts.quad_tol) for end in _end_list(ends))
 
 
 def omega(ends, mu: float) -> float:
     """Riemannian area of the sublevel region { |b~| < mu }: a closed form on
     the pieces between the crossings of the one cut mu, found to rounding."""
-    mu, total = float(mu), 0.0
+    mu, total = finite("mu", mu), 0.0
     for end in _end_list(ends):
         edges, b = _pieces(end, mu, [mu])
         area = _area(end, edges[:-1], edges[1:])
@@ -288,7 +288,7 @@ def theorem1_bracket(ends, lam: float, opts: WeylOptions | None = None) -> tuple
     """
     opts = opts or WeylOptions()
     ends = _end_list(ends)
-    lam = float(lam)
+    lam = finite("lam", lam)
     if lam <= 0.0:
         raise ValueError("lambda must be positive")
     C = opts.bracket_C

@@ -6,7 +6,8 @@ import sys
 import hypmag
 
 REMOVED = ("count_stable", "CountOptions", "ModePotential",
-           "funnel_mode_potential", "cusp_mode_potential", "mode_range")
+           "funnel_mode_potential", "cusp_mode_potential", "mode_range",
+           "EndOptions")
 
 
 def test_every_exported_name_resolves():

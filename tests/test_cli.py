@@ -1,6 +1,8 @@
 """Command-line interface: exact output bytes, exit codes, error paths."""
 
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 
 from conftest import (cusp_linear_end, funnel_cosh_end, run_cli, run_main,
                       write_config)
-from hypmag.cli import ConfigError, config_to_dict, load_config, parse_config
+from hypmag.cli import ConfigError, load_config, parse_config
 
 TWO_FUNNELS = [
     {"type": "funnel", "tau": 1.0, "t0": 0.0, "xi": 0.0,
@@ -311,6 +313,26 @@ class TestErrorPaths:
         assert (rc, out) == (1, "")
         assert "not finite at t=" in err
 
+    def test_nonfinite_thresholds(self, capsys, tmp_path):
+        # a named error and exit 1, not an OverflowError traceback from
+        # the grid size or the level count
+        path = write_config(tmp_path / "wall.json", [cusp_linear_end()],
+                            t_max=6.0)
+        for bad in ("inf", "nan", "-inf"):
+            for args, name in (
+                    (("count-end", "--config", path, "--end", "0",
+                      f"--lambda={bad}"), "lam"),
+                    (("weyl", "--config", path, f"--lambda={bad}"), "lam"),
+                    (("compare", "--config", path, f"--lambdas={bad}"), "lam"),
+                    (("nlandau", f"--mu={bad}", "--b", "1"), "mu"),
+                    (("nlandau", "--mu", "5", f"--b={bad}"), "b")):
+                rc, out, err = run_main(capsys, *args)
+                assert (rc, out) == (1, ""), args
+                # --b=-inf is refused as a negative intensity
+                msg = ("--b: intensity must be >= 0" if args[-1] == "--b=-inf"
+                       else f"{name} must be finite")
+                assert err.startswith(f"error: {msg}"), args
+
     def test_model_invariants_mapped_to_path(self, capsys, tmp_path):
         path = write_config(tmp_path / "tau.json",
                             [funnel_cosh_end(tau=-1.0)])
@@ -344,21 +366,33 @@ class TestErrorPaths:
 
 
 class TestConfigRoundTrip:
-    def test_identity(self):
-        obj = {
-            "schema_version": 1,
-            "ends": [cusp_linear_end(L=1.2, xi=0.5), funnel_cosh_end(tau=0.7)],
-            "numerics": {"t_max": 7.5, "quad_tol": 1e-7, "delta": 0.36},
-        }
-        cfg = parse_config(obj)
-        assert parse_config(config_to_dict(cfg)) == cfg
-
     def test_defaults_round_trip(self, tmp_path):
         path = write_config(tmp_path / "min.json", [cusp_linear_end()])
         cfg = load_config(path)
-        assert parse_config(config_to_dict(cfg)) == cfg
+        assert cfg.t_max is None
         assert cfg.weyl_options.delta == 0.35
 
     def test_parse_rejects_non_object(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
+
+
+class TestReadmeExamples:
+    def test_every_readme_command_runs(self, capsys, tmp_path, monkeypatch):
+        # the CLI section's JSON blocks are cusp.json and surface.json, in
+        # that order; every hypmag line of its sh block must exit 0
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```(\w+)\n(.*?)```", section, re.S)
+        configs = [body for lang, body in blocks if lang == "json"]
+        assert len(configs) == 2
+        for name, body in zip(("cusp.json", "surface.json"), configs):
+            (tmp_path / name).write_text(body)
+        lines = [line for lang, body in blocks if lang == "sh"
+                 for line in body.splitlines() if line.startswith("hypmag ")]
+        assert len(lines) >= 10
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            rc, out, err = run_main(capsys, *shlex.split(line)[1:])
+            assert (rc, err) == (0, ""), line
+        assert (tmp_path / "table.csv").read_bytes().startswith(b"lambda,count,")

@@ -45,6 +45,14 @@ class TestLandauCount:
         with pytest.raises(ValueError):
             landau_count(5.0, -1.0)
 
+    def test_nonfinite_arguments_rejected(self):
+        # named errors, not an OverflowError or NaN conversion in the ceil
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                landau_count(bad, 1.0)
+            with pytest.raises(ValueError, match="b must be finite"):
+                landau_count(5.0, bad)
+
 
 class TestEssBottom:
     def test_values(self):

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import (dense_lowest_eigenvalue, dense_mode_count,
                       make_cusp, make_funnel, richardson_mode_count)
-from hypmag import (BoundedFieldError, DomainError, EndOptions, count_end,
-                    funnel_limit_potential, mode_potential)
+from hypmag import (BoundedFieldError, DomainError, count_end,
+                    funnel_limit_potential, mode_potential, modes)
 from hypmag.modes import mode_window
 
 
@@ -217,16 +217,16 @@ class TestScanEdgeCases:
 
     def test_t_max_must_exceed_t0(self):
         end = make_cusp([0.0, 1.0])
-        with pytest.raises(ValueError):
-            count_end(end, 30.0, EndOptions(t_max=0.0))
+        with pytest.raises(ValueError, match="t_max"):
+            count_end(end, 30.0, t_max=0.0)
 
     def test_cusp_overflow_is_an_error(self):
         # e^{2t} overflows past t = 354.89: a wall beyond it must not
         # leave an empty window and a silent, converged count of 0
         end = make_cusp([0.0, 1.0])
-        assert count_end(end, 50.0, EndOptions(t_max=350.0)).count == 21
+        assert count_end(end, 50.0, t_max=350.0).count == 21
         with pytest.raises(DomainError, match="not finite at t=354.8"):
-            count_end(end, 50.0, EndOptions(t_max=400.0))
+            count_end(end, 50.0, t_max=400.0)
         with pytest.raises(DomainError, match="not finite"):
             mode_potential(end, 0)(np.array([1.0, 400.0]))
 
@@ -238,16 +238,26 @@ class TestScanEdgeCases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t_max in (350.0, 354.8):
-                assert count_end(end, 50.0, EndOptions(t_max=t_max)).count == 21
+                assert count_end(end, 50.0, t_max=t_max).count == 21
 
     def test_options_validation(self):
+        end = make_cusp([0.0, 1.0])
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="t_max"):
-                EndOptions(t_max=bad)
-        with pytest.raises(ValueError, match="max_modes"):
-            EndOptions(max_modes=0)
-        with pytest.raises(ValueError, match="max_refinements"):
-            EndOptions(max_refinements=0)
+                count_end(end, 30.0, t_max=bad)
+            with pytest.raises(ValueError, match="t_max"):
+                mode_window(end, 30.0, t_max=bad)
+
+    def test_nonfinite_threshold_is_refused(self):
+        # with or without a fixed wall, inf and nan are named errors
+        # rather than an overflow in the grid size or a failed search
+        end = make_cusp([0.0, 1.0])
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            for t_max in (None, 6.0):
+                with pytest.raises(ValueError, match="lam must be finite"):
+                    count_end(end, bad, t_max=t_max)
+                with pytest.raises(ValueError, match="lam must be finite"):
+                    mode_window(end, bad, t_max=t_max)
 
     def test_result_metadata(self):
         end = make_cusp([0.0, 1.0])
@@ -292,26 +302,28 @@ class TestModeWindow:
                                          res.t_hi, 6000)
             assert e0 >= lam, (ell, e0)
 
-    def test_wider_than_max_modes_is_not_converged(self):
+    def test_wider_than_max_modes_is_not_converged(self, monkeypatch):
         end = make_funnel([0.0, 1.0])
         assert mode_window(end, 50.0).size > 1000
-        res = count_end(end, 50.0, EndOptions(max_modes=1000))
+        assert count_end(end, 50.0).converged
+        monkeypatch.setattr(modes, "_MAX_MODES", 1000)
+        res = count_end(end, 50.0)
         assert not res.converged
         assert res.count == 0
         assert res.mode_range is None
-        assert count_end(end, 50.0).converged
 
-    def test_unsettled_mode_is_not_converged(self):
+    def test_unsettled_mode_is_not_converged(self, monkeypatch):
         # a mode whose counts at lambda and lambda - delta_h still differ
         # on the last grid leaves the result unconverged, and its count at
         # lambda enters the sum
         end = make_cusp([0.0, 1.0])
-        res = count_end(end, 1600.0, EndOptions(max_refinements=1))
-        assert not res.converged
-        assert res.count == 777
         res = count_end(end, 1600.0)
         assert res.converged
         assert res.count == 776
+        monkeypatch.setattr(modes, "_MAX_REFINEMENTS", 1)
+        res = count_end(end, 1600.0)
+        assert not res.converged
+        assert res.count == 777
 
 
 # The count slots of the benchmark's funnel-scan and cusp-ladder workloads,

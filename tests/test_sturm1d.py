@@ -70,11 +70,15 @@ class TestDiscretize:
         assert np.allclose(T.off, -1.0 / h**2)
         assert T.t_lo == 0.0 and T.t_hi == 1.0
 
-    def test_scalar_only_potentials_accepted(self):
+    def test_scalar_result_is_broadcast(self):
+        calls = []
+
         def V(t):
-            return float(t) ** 2  # chokes on arrays
+            calls.append(np.shape(t))
+            return 1.5
         T = discretize(V, 0.0, 1.0, 8)
-        assert np.allclose(T.diag - 2.0 / T.h**2, (T.h * np.arange(1, 9)) ** 2)
+        assert calls == [(8,)]
+        assert np.array_equal(T.diag, np.full(8, 2.0 / T.h**2 + 1.5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -316,12 +320,15 @@ class TestLowestEigenvalues:
     def test_tiny_tol_terminates(self):
         # a tol below the float spacing at the eigenvalue: the bracket
         # stops shrinking, and the bisection must stop with it
-        code = ("from hypmag import MorseOptions, discretize, "
-                "lowest_eigenvalues, morse_check\n"
+        # the Morse case is morse_check's reversed operator at n = 2000
+        code = ("from hypmag import discretize, lowest_eigenvalues\n"
+                "from hypmag.essential import _reversed, "
+                "funnel_limit_potential\n"
                 "T = discretize(lambda x: 0 * x, 0, 1, 5)\n"
                 "print(lowest_eigenvalues(T, 1, tol=1e-20))\n"
-                "print(morse_check(2.3, MorseOptions(n=2000, eig_tol=1e-20))"
-                ".computed)\n")
+                "M = _reversed(discretize(funnel_limit_potential(2.3), "
+                "-20.0, 4.0, 2000))\n"
+                "print(lowest_eigenvalues(M, 2, tol=1e-20))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Counting integral, sublevel areas, brackets, and exponent fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ class TestWeylIntegral:
             weyl_integral(make_cusp([2.0]), 50.0)
         with pytest.raises(BoundedFieldError):
             weyl_integral(make_funnel([1.0]), 50.0)
+
+    def test_nonfinite_threshold_is_refused(self):
+        # a named error before any sampling: no RuntimeWarning from the
+        # root finder and no numpy error about infs or NaNs
+        end = make_cusp([0.0, 1.0])
+        for bad in (math.inf, -math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for f, name in ((weyl_integral, "lam"),
+                                (theorem1_bracket, "lam"), (omega, "mu")):
+                    with pytest.raises(ValueError, match=f"{name} must be finite"):
+                        f(end, bad)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
