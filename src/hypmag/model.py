@@ -175,8 +175,12 @@ class SurfaceEnds:
 
 
 def _check_domain(end, t):
-    tmin = float(np.min(t))
-    if not np.all(np.isfinite(np.asarray(t, dtype=float))):
+    t = np.asarray(t, dtype=float)
+    # finite t >= t0 passes on one min and one max (a NaN makes the min NaN)
+    if t.min() >= end.t0 and t.max() < math.inf:
+        return
+    tmin = float(t.min())
+    if not np.all(np.isfinite(t)):
         raise DomainError("radial coordinate must be finite")
     if tmin < end.t0:
         raise DomainError(

@@ -132,12 +132,20 @@ def mode_potential(end, ell: int):
     return V
 
 
+def _wall(end, t_max: float | None) -> float | None:
+    """An explicit t_max as a float; it must be finite and exceed t0."""
+    if t_max is None:
+        return None
+    t_max, t0 = float(t_max), float(end.t0)
+    if not (math.isfinite(t_max) and t_max > t0):
+        raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
+    return t_max
+
+
 def _shared_grid(end, lam: float, t_max: float | None) -> tuple[float, int]:
     """Right wall and interior point count of the first shared grid."""
     t0 = float(end.t0)
-    t_max = float(t_max) if t_max is not None else _auto_t_max(end, lam)
-    if not (math.isfinite(t_max) and t_max > t0):
-        raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
+    t_max = t_max if t_max is not None else _auto_t_max(end, lam)
     per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
     return t_max, max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
 
@@ -240,7 +248,7 @@ def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
     s, q + s theta W' + (1 - theta) W^2 >= lambda on every sample of
     [t0, t_max] (see the module docstring), so no eigenvalue below lam.
     """
-    lam = finite("lam", lam)
+    lam, t_max = finite("lam", lam), _wall(end, t_max)
     if lam <= 0.25:
         return np.empty(0, dtype=np.int64)
     t_max, n = _shared_grid(end, lam, t_max)
@@ -263,7 +271,7 @@ def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
         raise BoundedFieldError(
             "constant field: the essential spectrum reaches lambda and the "
             "mode sum diverges")
-    lam = finite("lam", lam)
+    lam, t_max = finite("lam", lam), _wall(end, t_max)
     if lam <= 0.25:
         return CountResult(count=0, lam=lam, n=0, t_hi=float(end.t0),
                            converged=True)

@@ -12,7 +12,8 @@ a, so the integral is sum k |a(hi) - a(lo)| over these pieces.  Near a
 zero of b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in
 for the levels.  The bracket for admissible (delta, C) integrates its
 weights over the same pieces by Gauss-Legendre.  Also here: the sublevel
-areas omega, their doubling check, and log-log exponent fits.
+areas omega, all of them from one pass per end, their doubling check,
+and log-log exponent fits.
 """
 
 from __future__ import annotations
@@ -232,15 +233,22 @@ def weyl_integral(ends, lam: float, opts: WeylOptions | None = None) -> float:
     return sum(_integral_over_end(end, mu, opts.quad_tol) for end in _end_list(ends))
 
 
+def _omegas(ends, mus) -> list[float]:
+    """omega at each of mus, from one _pieces pass per end with every mu as
+    a cut: past t_end(max mu) the intensity stays above each mu."""
+    mus, ends = [finite("mu", mu) for mu in mus], _end_list(ends)
+    total = np.zeros(len(mus))
+    for end in ends:
+        edges, b = _pieces(end, max(mus), mus)
+        area, v = _area(end, edges[:-1], edges[1:]), np.abs(b)
+        total += [2.0 * math.pi * float(np.sum(area[v < mu])) for mu in mus]
+    return [float(x) for x in total]
+
+
 def omega(ends, mu: float) -> float:
     """Riemannian area of the sublevel region { |b~| < mu }: a closed form on
-    the pieces between the crossings of the one cut mu, found to rounding."""
-    mu, total = finite("mu", mu), 0.0
-    for end in _end_list(ends):
-        edges, b = _pieces(end, mu, [mu])
-        area = _area(end, edges[:-1], edges[1:])
-        total += 2.0 * math.pi * float(np.sum(area[np.abs(b) < mu]))
-    return total
+    the pieces between the crossings of the cut mu, found to rounding."""
+    return _omegas(ends, [mu])[0]
 
 
 @dataclass(frozen=True)
@@ -263,15 +271,15 @@ def check_hypW(ends, mu_grid, tau_grid) -> HypWReport:
         raise ValueError("mu_grid and tau_grid must be nonempty")
     if any(not (0.0 < t < 1.0) for t in tau_grid):
         raise ValueError("tau values must lie in (0, 1)")
+    n, k = len(mu_grid), len(tau_grid)
+    om = _omegas(ends, mu_grid + [(1.0 + tau) * mu for mu in mu_grid for tau in tau_grid])
     witness, skipped, tested = 0.0, [], 0
-    for mu in mu_grid:
-        om = omega(ends, mu)
-        if om <= 0.0:
+    for i, mu in enumerate(mu_grid):
+        if om[i] <= 0.0:
             skipped.append(mu)
             continue
-        for tau in tau_grid:
-            ratio = (omega(ends, (1.0 + tau) * mu) - om) / (tau * om)
-            witness = max(witness, ratio)
+        for tau, up in zip(tau_grid, om[n + i * k:n + (i + 1) * k]):
+            witness = max(witness, (up - om[i]) / (tau * om[i]))
             tested += 1
     return HypWReport(holds=tested > 0 and math.isfinite(witness),
                       C1_witness=witness, skipped=tuple(skipped))

@@ -121,6 +121,19 @@ class TestEnds:
         with pytest.raises(DomainError):
             eval_field(end, math.nan)
 
+    def test_domain_error_messages(self):
+        # t = t0 is inside; NaN or +-inf anywhere in t, and the smallest
+        # t below t0, fail the one-compare pass and get the full messages
+        end = make_funnel([0.0, 1.0], t0=0.5)
+        assert eval_field(end, np.array([0.5, 1.0]))[0] == pytest.approx(math.cosh(0.5))
+        for bad in (math.nan, math.inf, -math.inf):
+            for t in (bad, np.array([1.0, bad, 2.0])):
+                with pytest.raises(DomainError, match="^radial coordinate must be finite$"):
+                    eval_field(end, t)
+        with pytest.raises(DomainError, match=r"^t=0\.4 lies outside the end "
+                           r"\(needs t >= t0 = 0\.5\)$"):
+            eval_field(end, np.array([1.0, 0.4, 0.45]))
+
 
 class TestGauge:
     cases = [

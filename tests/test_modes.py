@@ -240,13 +240,20 @@ class TestScanEdgeCases:
             for t_max in (350.0, 354.8):
                 assert count_end(end, 50.0, t_max=t_max).count == 21
 
-    def test_options_validation(self):
+    def test_options_validation(self, monkeypatch):
+        # an explicit wall is checked also where lam <= 1/4 returns early,
+        # and that path never searches for a wall of its own
         end = make_cusp([0.0, 1.0])
-        for bad in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(ValueError, match="t_max"):
-                count_end(end, 30.0, t_max=bad)
-            with pytest.raises(ValueError, match="t_max"):
-                mode_window(end, 30.0, t_max=bad)
+        for lam in (30.0, 0.1):
+            for bad in (float("inf"), float("-inf"), float("nan"), 0.0):
+                with pytest.raises(ValueError, match="t_max"):
+                    count_end(end, lam, t_max=bad)
+                with pytest.raises(ValueError, match="t_max"):
+                    mode_window(end, lam, t_max=bad)
+        monkeypatch.setattr(modes, "_auto_t_max", None)
+        for t_max in (None, 6.0):
+            assert count_end(end, 0.1, t_max=t_max).count == 0
+            assert mode_window(end, 0.1, t_max=t_max).size == 0
 
     def test_nonfinite_threshold_is_refused(self):
         # with or without a fixed wall, inf and nan are named errors

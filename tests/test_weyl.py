@@ -11,6 +11,7 @@ from conftest import make_cusp, make_funnel
 from hypmag import (BoundedFieldError, FunnelEnd, SurfaceEnds, WeylOptions,
                     check_hypW, eval_field, fit_exponent, landau_count, omega,
                     theorem1_bracket, weyl_integral)
+from hypmag import weyl
 
 
 def cusp_linear_weyl(lam: float, L: float = 1.0, t0: float = 0.0) -> float:
@@ -162,6 +163,7 @@ class TestOmega:
             for mu in (10.0, 100.0, 1000.0):
                 assert omega(end, mu) == pytest.approx(
                     funnel_cosh_omega(mu, tau), rel=1e-9)
+                assert type(omega(end, mu)) is float
 
     def test_empty_sublevel(self):
         end = make_funnel([0.0, 1.0])
@@ -190,13 +192,44 @@ class TestHypW:
         rep = check_hypW([end], (10.0, 100.0, 1000.0), (0.1, 0.5, 0.9))
         assert rep.holds
         assert math.isfinite(rep.C1_witness)
+        assert type(rep.C1_witness) is float
         assert rep.skipped == ()
 
     def test_skips_empty_sublevels(self):
+        # cosh t >= 1: mu <= 1 leaves nothing to test, though the same
+        # pass also computes omega at (1 + tau) mu for the skipped mus
         end = make_funnel([0.0, 1.0])
-        rep = check_hypW([end], (0.5, 10.0), (0.5,))
-        assert rep.skipped == (0.5,)
+        rep = check_hypW([end], (-1.0, 0.5, 10.0), (0.5,))
+        assert rep.skipped == (-1.0, 0.5)
         assert rep.holds
+
+    def test_surface_matches_closed_forms(self):
+        # omega adds over the ends: funnel_cosh_omega on the funnel plus
+        # 2 pi (1 - 1/mu) on the cusp, both zero for mu <= 1
+        fun = make_funnel([0.0, 1.0], tau=0.3)
+        surface = SurfaceEnds(funnels=(fun,), cusps=(make_cusp([0.0, 1.0]),))
+        mus, taus = (0.5, 2.0, 10.0, 100.0), (0.1, 0.5, 0.9)
+
+        def om(mu):
+            return funnel_cosh_omega(mu, 0.3) + 2.0 * math.pi * max(0.0, 1.0 - 1.0 / mu)
+        expected = max((om((1.0 + tau) * mu) - om(mu)) / (tau * om(mu))
+                       for mu in mus[1:] for tau in taus)
+        rep = check_hypW(surface, mus, taus)
+        assert rep.C1_witness == pytest.approx(expected, rel=1e-9)
+        assert rep.skipped == (0.5,)
+
+    def test_one_sublevel_pass_per_end(self, monkeypatch):
+        # every omega of the grid comes from one _pieces bisection per end
+        calls, pieces = [], weyl._pieces
+
+        def counted(end, mu, cuts):
+            calls.append(end)
+            return pieces(end, mu, cuts)
+        monkeypatch.setattr(weyl, "_pieces", counted)
+        ends = (make_funnel([0.0, 1.0], tau=0.3), make_cusp([0.0, 1.0]))
+        check_hypW(SurfaceEnds(funnels=ends[:1], cusps=ends[1:]),
+                   (2.0, 10.0, 100.0), (0.1, 0.5))
+        assert calls == list(ends)
 
     def test_cusp_linear_ratio(self):
         # omega(mu) = 2 pi (1 - 1/mu) for mu > 1, so the ratio has the
@@ -215,6 +248,9 @@ class TestHypW:
             check_hypW([end], (10.0,), (1.0,))
         with pytest.raises(ValueError):
             check_hypW([end], (10.0,), (-0.2,))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                check_hypW([end], (10.0, bad), (0.5,))
 
 
 class TestBracket:
