@@ -176,11 +176,9 @@ class SurfaceEnds:
 
 def _check_domain(end, t):
     t = np.asarray(t, dtype=float)
-    # finite t >= t0 passes on one min and one max (a NaN makes the min NaN)
-    if t.min() >= end.t0 and t.max() < math.inf:
-        return
+    # a NaN or -inf makes the min non-finite, a +inf makes the max inf
     tmin = float(t.min())
-    if not np.all(np.isfinite(t)):
+    if not (math.isfinite(tmin) and t.max() < math.inf):
         raise DomainError("radial coordinate must be finite")
     if tmin < end.t0:
         raise DomainError(
