@@ -245,7 +245,8 @@ def _sum_counts(cfg: SurfaceConfig, lam: float):
 
 
 def _cmd_nlandau(args) -> int:
-    if args.b < 0.0:
+    # landau_count names NaN and +-inf itself
+    if -math.inf < args.b < 0.0:
         raise ConfigError("--b: intensity must be >= 0")
     print(_jdump(_collapse(landau_count(args.mu, args.b))))
     return 0

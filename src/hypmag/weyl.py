@@ -10,10 +10,12 @@ N(mu, b) = k b is constant in k = #{j : (2j+1) b < mu} between the zeros
 of b~ and the crossings |b~| = mu/(2k+1), and a' = -rho b~ for the gauge
 a, so the integral is sum k |a(hi) - a(lo)| over these pieces.  Near a
 zero of b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in
-for the levels.  The bracket for admissible (delta, C) integrates its
-weights over the same pieces by Gauss-Legendre.  Also here: the sublevel
-areas omega, all of them from one pass per end, their doubling check,
-and log-log exponent fits.
+for the levels.  One vectorised loop of Newton steps, each replaced by
+the midpoint where it would leave its bracket, finds every crossing in
+the cells of a sample grid on which b~ is monotone.  The bracket for
+admissible (delta, C) integrates its weights over the same pieces by
+Gauss-Legendre.  Also here: the sublevel areas omega, all of them from
+one pass per end, their doubling check, and log-log exponent fits.
 """
 
 from __future__ import annotations
@@ -84,34 +86,49 @@ def _radii(end, poly):
     return t[t > end.t0]
 
 
-def _samples(end, mu: float, n: int):
-    """n radii on [t0, t_end] plus the turning points of b~ (so that b~ is
-    monotone between samples), and b~ there.  Past t_end, the last root of
-    b~ -+ max(2 mu, mu + 1), |b~| stays above mu; no samples if t_end = t0."""
+def _span(end, mu: float):
+    """(t_end, the turning points of b~ in (t0, t_end)).  Past t_end, the
+    last root of b~ -+ max(2 mu, mu + 1), |b~| stays above mu; t_end = t0
+    if mu <= 0, so that nothing is sampled."""
     poly = np.trim_zeros(np.array(end.field.coeffs), "b")
     target = max(2.0 * mu, mu + 1.0)
     t_end = max([end.t0] + [float(t) for s in (target, -target)
                             for t in _radii(end, poly - s * np.eye(poly.size)[0])])
     if t_end > end.t0 + 200.0:
         raise BoundedFieldError(f"intensity reaches {target} only at t = {t_end}")
-    if mu <= 0.0 or t_end == end.t0:
-        return np.empty(0), np.empty(0)
+    if mu <= 0.0:
+        return end.t0, np.empty(0)
     turns = _radii(end, np.arange(1, poly.size) * poly[1:])
-    t = np.union1d(np.linspace(end.t0, t_end, n), turns[turns < t_end])
+    return t_end, turns[turns < t_end]
+
+
+def _samples(end, span, n: int):
+    """n radii on [t0, t_end] plus the turning points of b~ (so that b~ is
+    monotone between samples), and b~ there; none if t_end = t0."""
+    t_end, turns = span
+    if t_end == end.t0:
+        return np.empty(0), np.empty(0)
+    t = np.union1d(np.linspace(end.t0, t_end, n), turns)
     return t, np.asarray(eval_field(end, t), dtype=float)
 
 
-def _pieces(end, mu: float, cuts):
+def _pieces(end, span, cuts):
     """Edges of the pieces of [t0, t_end] where b~ keeps its sign and |b~|
     crosses no cut, and b~ at their midpoints.  A sample cell is a bracket,
-    or two around a zero of b~; a cut strictly between a bracket's values
-    of |b~| is a root of (sign b~) b~ - cut there, and one bisection finds
-    all roots.  The sample grid is refined while the band or sign of b~
-    just inside the ends of some piece differs from that at its midpoint."""
+    or two around a zero of b~; a cut c strictly between a bracket's values
+    of |b~| is the root of the monotone f = (sign b~) b~ - c there.  One
+    loop finds all roots, starting where the chord of f crosses zero.  A
+    step moves the bracket end with f's sign to the current point, then
+    goes to the Newton point of f (slope from profile_dt) if that lies
+    strictly inside the bracket, else to the midpoint.  A root is final,
+    and stays put, once its Newton step rounds to zero, f = 0, or no float
+    lies strictly inside its bracket.  The sample grid is refined while
+    the band or sign of b~ just inside the ends of some piece differs from
+    that at its midpoint."""
     cuts = np.sort(np.asarray(cuts, dtype=float))
     n = _GRID
     while n <= _MAX_GRID:
-        t, b = _samples(end, mu, n)
+        t, b = _samples(end, span, n)
         if t.size == 0:
             return t, b
         v = np.abs(b)
@@ -129,13 +146,23 @@ def _pieces(end, mu: float, cuts):
         cell = np.concatenate([cell[j], flip])
         s = np.concatenate([sign[j], np.ones(flip.size)])
         c = np.concatenate([c, np.zeros(flip.size)])
-        lo, hi, neg = t[cell], t[cell + 1], s * b[cell] - c < 0.0
-        mid = 0.5 * (lo + hi)
-        while np.any((lo < mid) & (mid < hi)):
-            right = (s * eval_field(end, mid) - c < 0.0) == neg
-            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-            mid = 0.5 * (lo + hi)
-        edges = np.unique(np.concatenate([t[[0, -1]], mid]))
+        lo, hi = t[cell], t[cell + 1]
+        f_lo, f_hi = s * b[cell] - c, s * b[cell + 1] - c
+        neg = f_lo < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+            while x.size:
+                f = s * eval_field(end, x) - c
+                right = (f < 0.0) == neg
+                lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+                newton = x - f / (s * end.field.profile_dt(x))
+                mid = 0.5 * (lo + hi)
+                done = (newton == x) | (f == 0.0) | ~((lo < mid) & (mid < hi))
+                if done.all():
+                    break
+                x = np.where(done, x, np.where((lo < newton) & (newton < hi), newton, mid))
+        edges = np.unique(np.concatenate([t[[0, -1]], x]))
         lo, hi = edges[:-1], edges[1:]
         inside = lo + np.multiply.outer([1e-3, 0.5, 0.999], hi - lo)
         b = np.asarray(eval_field(end, inside))
@@ -188,7 +215,8 @@ def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
     (times w: Gauss-Legendre, as also if rounding in a would not fit
     quad_tol), the others mu/2 times their area within max w |Delta a|/2.
     """
-    t, b = _samples(end, mu, _GRID)
+    span = _span(end, mu)
+    t, b = _samples(end, span, _GRID)
     if t.size == 0:
         return 0.0
     bmin = 0.0 if np.any(b[:-1] * b[1:] <= 0.0) else float(np.min(np.abs(b)))
@@ -202,7 +230,7 @@ def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
                                f"above {beta}; lower lambda or raise quad_tol")
         levels = mu / (2.0 * np.arange(int(mu / beta) // 2 + 1) + 1.0)
         cuts = [*levels[levels > beta], beta] + ([kink] if kink else [])
-        edges, b = _pieces(end, mu, cuts)
+        edges, b = _pieces(end, span, cuts)
         lo, hi, v = edges[:-1], edges[1:], np.abs(b)
         # int |b~| rho dt on each piece; signed differences telescope, so
         # the rounding of a does not pile up over many narrow pieces
@@ -239,7 +267,7 @@ def _omegas(ends, mus) -> list[float]:
     mus, ends = [finite("mu", mu) for mu in mus], _end_list(ends)
     total = np.zeros(len(mus))
     for end in ends:
-        edges, b = _pieces(end, max(mus), mus)
+        edges, b = _pieces(end, _span(end, max(mus)), mus)
         area, v = _area(end, edges[:-1], edges[1:]), np.abs(b)
         total += [2.0 * math.pi * float(np.sum(area[v < mu])) for mu in mus]
     return [float(x) for x in total]

@@ -185,6 +185,53 @@ class TestOmega:
         assert omega(surface, mu) == pytest.approx(
             omega(fun, mu) + omega(cusp, mu), rel=1e-12)
 
+    def test_few_field_evaluations(self, monkeypatch):
+        # one evaluation on the samples, a few Newton rounds for every
+        # crossing at once, one to check the pieces
+        calls, evaluate = [], weyl.eval_field
+
+        def counted(end, t):
+            calls.append(end)
+            return evaluate(end, t)
+        monkeypatch.setattr(weyl, "eval_field", counted)
+        for end in (make_funnel([0.0, 1.0]), make_cusp([0.0, 1.0])):
+            for mu in (10.0, 1000.0):
+                calls.clear()
+                omega(end, mu)
+                assert 2 < len(calls) <= 10
+
+    @pytest.mark.parametrize("c, rel", [(1e8, 1e-9), (1e10, 1e-7)])
+    def test_cancelling_field(self, c, rel):
+        # b~ = c (y - 2)^2 + 5 in the monomial basis carries an error of
+        # about 4 c eps near y = 2, where |b~| < mu for |y - 2| < r
+        mu = 49.75
+        r = math.sqrt((mu - 5.0) / c)
+        end = make_cusp([4.0 * c + 5.0, -4.0 * c, c])
+        assert omega(end, mu) == pytest.approx(
+            2.0 * math.pi * 2.0 * r / (4.0 - r * r), rel=rel)
+
+    def test_crossing_where_the_slope_vanishes(self):
+        # cosh t = mu at t = 1.4e-3, next to t = 0 where d/dt cosh t = 0
+        mu = 1.0 + 1e-6
+        assert omega(make_funnel([0.0, 1.0]), mu) == pytest.approx(
+            2.0 * math.pi * math.sqrt((mu - 1.0) * (mu + 1.0)), rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0])
+    def test_sign_changing_cusp(self, mu):
+        # |y - 3| < mu for y in (max(1, 3 - mu), 3 + mu); the zero of b~ at
+        # y = 3 is a crossing of the cut 0 inside the region
+        expected = 2.0 * math.pi * (1.0 / max(1.0, 3.0 - mu) - 1.0 / (3.0 + mu))
+        assert omega(make_cusp([-3.0, 1.0]), mu) == pytest.approx(expected, rel=1e-14)
+
+    def test_far_reach_is_refused_before_the_floor(self):
+        # b~ = e^-250 y reaches mu + 1 only past t0 + 200; that is refused
+        # even where mu <= 0 leaves nothing to integrate
+        end = make_cusp([0.0, math.exp(-250.0)])
+        for f, x in ((weyl_integral, 0.1), (weyl_integral, 50.0), (omega, 0.0)):
+            with pytest.raises(BoundedFieldError, match="intensity reaches"):
+                f(end, x)
+        assert omega(end, -1.0) == 0.0
+
 
 class TestHypW:
     def test_funnel_cosh_holds(self):
