@@ -32,11 +32,10 @@ INTEGER_TOL = 1e-9
 
 
 def _constant_value(end) -> float:
-    field = end.field
-    if field.unbounded or field.degree != 0:
+    if end.field.unbounded:
         raise NonConstantFieldError(
             "essential spectrum formulas require a constant field on every end")
-    return field.coeffs[0] if field.coeffs else 0.0
+    return end.field.coeffs[0]
 
 
 def holonomy(end: CuspEnd) -> float:

@@ -191,6 +191,27 @@ def eval_field(end, t):
     return end.field.profile(t)
 
 
+def _radii(end, *polys):
+    """Radii t > t0 where x = cosh t (funnel) or e^t (cusp) is a root of one
+    of polys; complex roots count by real part if nearly real, else modulus."""
+    x = np.concatenate([np.roots(poly[::-1]) for poly in polys])
+    x = np.where(np.abs(x.imag) <= 1e-6 * (1.0 + np.abs(x.real)), x.real, np.abs(x))
+    t = np.arccosh(x[x >= 1.0]) if isinstance(end, FunnelEnd) else np.log(x[x > 0.0])
+    return t[t > end.t0]
+
+
+def last_crossing(end, level: float) -> float:
+    """Largest t > t0 where |b~| = level, or t0 if there is none; past it
+    an unbounded |b~| stays above level.  A crossing past t0 + 200 is a
+    BoundedFieldError: the intensity grows too slowly for a grid out to it."""
+    c = end.field.coeffs[:end.field.degree + 1]
+    t = float(np.max(_radii(end, *[(c[0] - s,) + c[1:] for s in (level, -level)]),
+                     initial=end.t0))
+    if t > end.t0 + 200.0:
+        raise BoundedFieldError(f"intensity reaches {level} only at t = {t}")
+    return t
+
+
 def _cosh_antiderivatives(nmax: int, t):
     """F[n](t) with F[n]' = cosh^n, for n = 0..nmax, F[n](0-free constants).
 

@@ -14,8 +14,10 @@ same a, w and q for every mode (mode_potential builds V_ell from them),
 and both contain the curvature term, so no mode eigenvalue lies below
 1/4.
 
-count_end counts an end in two steps on the interval [t0, t_max], whose
-right wall sits where the field intensity stays above 4*lambda.
+count_end counts an end in two steps on [t0, t_max].  Unless given, the
+wall t_max is the exact last crossing of |b~| = 4 max(lambda, 1), past
+which the intensity stays above that level, rounded out to t0 + 0.5 k +
+0.25; a crossing past t0 + 200 is a BoundedFieldError.
 
 The mode window.  With W = (ell - a) sqrt(w), V_ell = W^2 + q, and for
 s = +-1 and theta in [0, 1] integration by parts gives the magnetic lower
@@ -44,12 +46,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
 from .model import (BoundedFieldError, DomainError, FunnelEnd, eval_field,
-                    finite, gauge_function)
+                    finite, gauge_function, last_crossing)
 from .sturm1d import mode_counts
 
 
@@ -79,23 +80,6 @@ _POINTS_PER_WAVELENGTH = 72.0
 # converged=False
 _MAX_MODES = 200000
 _MAX_REFINEMENTS = 8
-
-
-def _auto_t_max(end, lam: float) -> float:
-    """First radius beyond which the intensity stays above 4*lambda."""
-    target = 4.0 * max(lam, 1.0)
-    t = end.t0 + 0.5
-    cap = end.t0 + 120.0
-    while t < cap:
-        # the windows [t, t + 2] of up to 16 steps of 0.5 in one evaluation
-        ts = [u for u in accumulate([0.5] * 15, initial=t) if u < cap]
-        samples = np.linspace(ts, np.add(ts, 2.0), 9, axis=1)
-        ok = np.all(np.abs(eval_field(end, samples)) >= target, axis=1)
-        if ok.any():
-            return ts[int(np.argmax(ok))] + 0.25
-        t = ts[-1] + 0.5
-    raise DomainError(
-        f"field intensity does not reach {target} within the search range")
 
 
 def _coefficients(end, t):
@@ -133,7 +117,12 @@ def mode_potential(end, ell: int):
 
 
 def _wall(end, t_max: float | None) -> float | None:
-    """An explicit t_max as a float; it must be finite and exceed t0."""
+    """An explicit t_max as a float; it must be finite and exceed t0, and
+    the field of the end must be unbounded."""
+    if not end.field.unbounded:
+        raise BoundedFieldError(
+            "constant field: the essential spectrum reaches lambda and the "
+            "mode sum diverges")
     if t_max is None:
         return None
     t_max, t0 = float(t_max), float(end.t0)
@@ -145,7 +134,12 @@ def _wall(end, t_max: float | None) -> float | None:
 def _shared_grid(end, lam: float, t_max: float | None) -> tuple[float, int]:
     """Right wall and interior point count of the first shared grid."""
     t0 = float(end.t0)
-    t_max = t_max if t_max is not None else _auto_t_max(end, lam)
+    if t_max is None:
+        # rounded out to t0 + 0.5 k + 0.25, the least k >= 1 with t0 + 0.5 k
+        # past the crossing: this lattice keeps every grid, n and t_hi that
+        # tests, CLI pins and bench references were made on
+        reach = last_crossing(end, 4.0 * max(lam, 1.0))
+        t_max = t0 + 0.5 * max(1, math.ceil((reach - t0) / 0.5)) + 0.25
     per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
     return t_max, max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
 
@@ -258,19 +252,16 @@ def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
 def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
     """Dirichlet eigenvalue count of the end below lam, summed over modes.
 
-    The end is cut at t_hi (t_max, or where the field intensity stays
-    above 4*lambda) with a Dirichlet wall there.  n is the number of
-    interior points of the finest shared grid any mode of the window
-    was counted on, and mode_range the smallest interval
-    holding every mode with an eigenvalue below lam (None when no mode
-    contributes).  converged is False when a mode is still undecided on
-    the last of _MAX_REFINEMENTS grids, or when the window held more than
-    _MAX_MODES modes; the window is then not swept and the count is 0.
+    The end is cut at t_hi with a Dirichlet wall there: t_max, or the
+    exact last crossing of |b~| = 4 max(lam, 1), rounded out as the module
+    docstring says.  n is the number of interior points of the finest
+    shared grid any mode of the window was counted on, and mode_range the
+    smallest interval holding every mode with an eigenvalue below lam
+    (None when no mode contributes).  converged is False when a mode is
+    still undecided on the last of _MAX_REFINEMENTS grids, or when the
+    window held more than _MAX_MODES modes; the window is then not swept
+    and the count is 0.
     """
-    if not end.field.unbounded:
-        raise BoundedFieldError(
-            "constant field: the essential spectrum reaches lambda and the "
-            "mode sum diverges")
     lam, t_max = finite("lam", lam), _wall(end, t_max)
     if lam <= 0.25:
         return CountResult(count=0, lam=lam, n=0, t_hi=float(end.t0),

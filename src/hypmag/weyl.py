@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (BoundedFieldError, CuspEnd, FunnelEnd, RadialField,
-                    SurfaceEnds, eval_field, finite, gauge_function)
+                    SurfaceEnds, _radii, eval_field, finite, gauge_function,
+                    last_crossing)
 
 _GRID = 4096            # samples of b~ on [t0, t_end] in the first pass
 _MAX_GRID = 1 << 18     # finest sample grid before the piece check gives up
@@ -77,28 +78,15 @@ def _area(end, lo, hi):
     return end.L * (np.exp(-lo) - np.exp(-hi))
 
 
-def _radii(end, poly):
-    """Radii t > t0 where x = cosh t (funnel) or e^t (cusp) is a root of
-    poly(x); complex roots count by real part if nearly real, else modulus."""
-    x = np.roots(poly[::-1])
-    x = np.where(np.abs(x.imag) <= 1e-6 * (1.0 + np.abs(x.real)), x.real, np.abs(x))
-    t = np.arccosh(x[x >= 1.0]) if isinstance(end, FunnelEnd) else np.log(x[x > 0.0])
-    return t[t > end.t0]
-
-
 def _span(end, mu: float):
     """(t_end, the turning points of b~ in (t0, t_end)).  Past t_end, the
-    last root of b~ -+ max(2 mu, mu + 1), |b~| stays above mu; t_end = t0
-    if mu <= 0, so that nothing is sampled."""
-    poly = np.trim_zeros(np.array(end.field.coeffs), "b")
-    target = max(2.0 * mu, mu + 1.0)
-    t_end = max([end.t0] + [float(t) for s in (target, -target)
-                            for t in _radii(end, poly - s * np.eye(poly.size)[0])])
-    if t_end > end.t0 + 200.0:
-        raise BoundedFieldError(f"intensity reaches {target} only at t = {t_end}")
+    last crossing of |b~| = max(2 mu, mu + 1), |b~| stays above mu; t_end
+    = t0 if mu <= 0, so that nothing is sampled."""
+    t_end = last_crossing(end, max(2.0 * mu, mu + 1.0))
     if mu <= 0.0:
         return end.t0, np.empty(0)
-    turns = _radii(end, np.arange(1, poly.size) * poly[1:])
+    c = end.field.coeffs[1:end.field.degree + 1]
+    turns = _radii(end, np.arange(1, len(c) + 1) * np.array(c))
     return t_end, turns[turns < t_end]
 
 

@@ -1,6 +1,7 @@
 """Mode potentials, the mode window and the batched sweep behind count_end."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -130,6 +131,23 @@ class TestCountEndAgainstDenseOracle:
         assert res.count == sum(oracle) == 667
 
 
+class TestSignChangingFunnel:
+    @pytest.mark.parametrize("c, lam, expected", [(40.0, 8.0, 92), (80.0, 15.0, 365)])
+    def test_wall_lies_past_the_zero(self, c, lam, expected):
+        # b~ = cosh t - c vanishes at t = arccosh c, and |b~| >= 4 lam holds
+        # next to t0 and again beyond the zero: the wall must lie past the
+        # last crossing of |b~| = 4 lam, not where the intensity first holds
+        end = make_funnel([-c, 1.0])
+        res = count_end(end, lam)
+        assert res.converged
+        assert res.t_hi > math.acosh(c)
+        wall = 7.0
+        oracle = sum(richardson_mode_count(mode_potential(end, int(ell)), end.t0,
+                                           wall, 1000, lam)
+                     for ell in mode_window(end, lam, t_max=wall))
+        assert res.count == oracle == expected
+
+
 class TestCountEndRegression:
     def test_cusp_linear_sweep(self):
         end = make_cusp([0.0, 1.0])
@@ -204,6 +222,8 @@ class TestScanEdgeCases:
         for end in (make_cusp([2.0]), make_funnel([1.5])):
             with pytest.raises(BoundedFieldError):
                 count_end(end, 10.0)
+            with pytest.raises(BoundedFieldError):
+                mode_window(end, 10.0)
 
     def test_bounded_nonconstant_also_rejected(self):
         # degree 0 with extra zero coefficients is still bounded
@@ -250,10 +270,18 @@ class TestScanEdgeCases:
                     count_end(end, lam, t_max=bad)
                 with pytest.raises(ValueError, match="t_max"):
                     mode_window(end, lam, t_max=bad)
-        monkeypatch.setattr(modes, "_auto_t_max", None)
+        monkeypatch.setattr(modes, "last_crossing", None)
         for t_max in (None, 6.0):
             assert count_end(end, 0.1, t_max=t_max).count == 0
             assert mode_window(end, 0.1, t_max=t_max).size == 0
+
+    def test_far_reach_is_refused(self):
+        # b~ = e^-250 y reaches 4 lambda only past t0 + 200: the wall is
+        # refused at the same range as the phase-space side refuses t_end
+        end = make_cusp([0.0, math.exp(-250.0)])
+        for f in (count_end, mode_window):
+            with pytest.raises(BoundedFieldError, match="intensity reaches"):
+                f(end, 30.0)
 
     def test_nonfinite_threshold_is_refused(self):
         # with or without a fixed wall, inf and nan are named errors
