@@ -18,6 +18,7 @@ s = ln(2 rho) and tracks the lowest eigenvalue as rho grows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,8 +118,12 @@ class MorseOptions:
     n: int = 8000
 
     def __post_init__(self):
+        if not (math.isfinite(self.s_lo) and math.isfinite(self.s_hi)):
+            raise ValueError(f"window ({self.s_lo}, {self.s_hi}) must be finite")
         if self.s_hi <= self.s_lo:
             raise ValueError("window must satisfy s_lo < s_hi")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 16:
             raise ValueError("need at least 16 interior points")
 

@@ -38,14 +38,14 @@ grid.  delta_h = 2 h^2 (lambda - 1/4)^2 / 12 is twice the leading
 downward bias of the 3-point scheme near lambda (Paine, de Hoog &
 Anderssen, Computing 26, 1981), so a mode whose two counts agree has no
 eigenvalue that the grid moves across lambda and is decided; the others
-are counted again on the doubled grid.
+are counted again on the doubled grid.  a, w and q are evaluated once per
+grid, on its points t0 + h k; the window reads the first grid's too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -85,14 +85,16 @@ _MAX_REFINEMENTS = 8
 def _coefficients(end, t):
     """(a, w, q) of the mode potentials (ell - a)^2 w + q at t, all finite."""
     t = np.asarray(t, dtype=float)
-    a = np.asarray(gauge_function(end, t), dtype=float)
-    if isinstance(end, FunnelEnd):
-        sech2 = 1.0 / np.cosh(t) ** 2
-        w, q = sech2 / (end.tau * end.tau), 0.25 * (1.0 + sech2)
-    else:
-        with np.errstate(over="ignore"):  # e^{2t} overflows past t = 354.89
+    # the gauge overflows with cosh^d t sinh t on funnels (past t = 355.59
+    # for b~ = cosh t), and e^{2t} past t = 354.89 on cusps: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.asarray(gauge_function(end, t), dtype=float)
+        if isinstance(end, FunnelEnd):
+            sech2 = 1.0 / np.cosh(t) ** 2
+            w, q = sech2 / (end.tau * end.tau), 0.25 * (1.0 + sech2)
+        else:
             w = np.exp(2.0 * t) / (end.L * end.L)
-        q = np.full_like(t, 0.25)
+            q = np.full_like(t, 0.25)
     for name, x in (("a", a), ("w", w), ("q", q)):
         if not np.isfinite(x).all():
             bad = float(t.flat[np.argmin(np.isfinite(x))])
@@ -116,34 +118,6 @@ def mode_potential(end, ell: int):
     return V
 
 
-def _wall(end, t_max: float | None) -> float | None:
-    """An explicit t_max as a float; it must be finite and exceed t0, and
-    the field of the end must be unbounded."""
-    if not end.field.unbounded:
-        raise BoundedFieldError(
-            "constant field: the essential spectrum reaches lambda and the "
-            "mode sum diverges")
-    if t_max is None:
-        return None
-    t_max, t0 = float(t_max), float(end.t0)
-    if not (math.isfinite(t_max) and t_max > t0):
-        raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
-    return t_max
-
-
-def _shared_grid(end, lam: float, t_max: float | None) -> tuple[float, int]:
-    """Right wall and interior point count of the first shared grid."""
-    t0 = float(end.t0)
-    if t_max is None:
-        # rounded out to t0 + 0.5 k + 0.25, the least k >= 1 with t0 + 0.5 k
-        # past the crossing: this lattice keeps every grid, n and t_hi that
-        # tests, CLI pins and bench references were made on
-        reach = last_crossing(end, 4.0 * max(lam, 1.0))
-        t_max = t0 + 0.5 * max(1, math.ceil((reach - t0) / 0.5)) + 0.25
-    per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
-    return t_max, max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
-
-
 # the lower-bound certificates (theta, s): theta = 0 is the potential
 # itself, H_ell >= V_ell; then each theta with s = +1 and s = -1
 _THETAS = (0.3, 0.5, 0.7, 0.85, 0.95)
@@ -153,14 +127,14 @@ _SIGN = np.array((1.0,) * (1 + len(_THETAS)) + (-1.0,) * len(_THETAS))[:, None]
 _WINDOW_ROWS = 1024
 
 
-def _bound_intervals(end, t, lam: float):
+def _bound_intervals(end, t, coeffs, lam: float):
     """Open intervals (lo, hi) of ell where a bound is below lam at t.
 
-    Rows are the certificates (_THETA, _SIGN), columns the samples t; a
-    sample where the bound is >= lam for every ell has lo = +inf and
-    hi = -inf.
+    coeffs is (a, w, q) at t.  Rows are the certificates (_THETA, _SIGN),
+    columns the samples t; a sample where the bound is >= lam for every
+    ell has lo = +inf and hi = -inf.
     """
-    a, w, q = _coefficients(end, t)
+    a, w, q = coeffs
     b = np.asarray(eval_field(end, t), dtype=float)
     # (sqrt w)': -sech t tanh t / tau on funnels, e^t / L on cusps
     sw = np.sqrt(w)
@@ -180,8 +154,8 @@ def _bound_intervals(end, t, lam: float):
     return lo, hi
 
 
-def _window_chunks(end, t_hi: float, n: int, lam: float):
-    """_bound_intervals on the n + 2 grid points of [t0, t_hi], in chunks.
+def _window_chunks(end, t, coeffs, lam: float):
+    """_bound_intervals on the grid points t, in chunks.
 
     Each interval is widened to the hull of its own and its right
     neighbour's, so that a mode uncovered only between two samples is
@@ -189,11 +163,9 @@ def _window_chunks(end, t_hi: float, n: int, lam: float):
     whose union is each certificate's [ceil lo, floor hi]: one per run of
     samples whose neighbouring ranges overlap or touch.
     """
-    t0 = float(end.t0)
-    h = (t_hi - t0) / (n + 1)
-    for i in range(0, n + 1, _WINDOW_ROWS):
-        j = min(i + _WINDOW_ROWS, n + 1)
-        lo, hi = _bound_intervals(end, t0 + h * np.arange(i, j + 1), lam)
+    for i in range(0, t.size - 1, _WINDOW_ROWS):
+        rows = slice(i, min(i + _WINDOW_ROWS, t.size - 1) + 1)
+        lo, hi = _bound_intervals(end, t[rows], [x[rows] for x in coeffs], lam)
         lo, hi = np.minimum(lo[:, :-1], lo[:, 1:]), np.maximum(hi[:, :-1], hi[:, 1:])
         first, last = np.ceil(lo), np.floor(hi)
         ok = last >= first
@@ -205,13 +177,13 @@ def _window_chunks(end, t_hi: float, n: int, lam: float):
                        np.maximum.reduceat(last[ok], at))
 
 
-def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
-    """Sorted modes that no certificate shows empty on [t0, t_max]."""
+def _window(end, lam: float, t, coeffs) -> np.ndarray:
+    """Sorted modes that no certificate shows empty on the grid points t."""
     # the hull of each certificate's uncovered modes, and those modes
     ell_lo = np.full(_THETA.shape[0], np.inf)
     ell_hi = np.full(_THETA.shape[0], -np.inf)
     ranges = []
-    for lo, hi, runs in _window_chunks(end, t_max, n, lam):
+    for lo, hi, runs in _window_chunks(end, t, coeffs, lam):
         ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
         ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
         ranges.append(runs)
@@ -235,6 +207,45 @@ def _window(end, lam: float, t_max: float, n: int) -> np.ndarray:
     return base + np.nonzero(np.all(marks[:, :-1] > 0, axis=0))[0]
 
 
+def _grid(end, t_hi: float, n: int):
+    """(h, points, (a, w, q) on them) of the grid of n interior points on
+    [t0, t_hi]: its n + 2 points t0 + h k, walls included."""
+    t0 = float(end.t0)
+    h = (t_hi - t0) / (n + 1)
+    t = t0 + h * np.arange(n + 2)
+    return h, t, _coefficients(end, t)
+
+
+def _first_grid(end, lam, t_max):
+    """(lam, wall, n, _grid, window) of the first shared grid of an end.
+
+    The wall is t_max (finite, past t0) or the last crossing of the module
+    docstring; n gives _POINTS_PER_WAVELENGTH points per shortest local
+    wavelength.  lam <= 1/4 leaves an empty window on no grid (wall t0).
+    """
+    lam, t0 = finite("lam", lam), float(end.t0)
+    if not end.field.unbounded:
+        raise BoundedFieldError(
+            "constant field: the essential spectrum reaches lambda and the "
+            "mode sum diverges")
+    if t_max is not None:
+        t_max = float(t_max)
+        if not (math.isfinite(t_max) and t_max > t0):
+            raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
+    if lam <= 0.25:
+        return lam, t0, 0, None, np.empty(0, dtype=np.int64)
+    if t_max is None:
+        # rounded out to t0 + 0.5 k + 0.25, the least k >= 1 with t0 + 0.5 k
+        # past the crossing: this lattice keeps every grid, n and t_hi that
+        # tests, CLI pins and bench references were made on
+        reach = last_crossing(end, 4.0 * max(lam, 1.0))
+        t_max = t0 + 0.5 * max(1, math.ceil((reach - t0) / 0.5)) + 0.25
+    per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
+    n = max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
+    grid = _grid(end, t_max, n)
+    return lam, t_max, n, grid, _window(end, lam, *grid[1:])
+
+
 def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
     """Modes count_end sweeps: those no magnetic lower bound certifies empty.
 
@@ -242,11 +253,7 @@ def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
     s, q + s theta W' + (1 - theta) W^2 >= lambda on every sample of
     [t0, t_max] (see the module docstring), so no eigenvalue below lam.
     """
-    lam, t_max = finite("lam", lam), _wall(end, t_max)
-    if lam <= 0.25:
-        return np.empty(0, dtype=np.int64)
-    t_max, n = _shared_grid(end, lam, t_max)
-    return _window(end, lam, t_max, n)
+    return _first_grid(end, lam, t_max)[-1]
 
 
 def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
@@ -262,29 +269,24 @@ def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
     window held more than _MAX_MODES modes; the window is then not swept
     and the count is 0.
     """
-    lam, t_max = finite("lam", lam), _wall(end, t_max)
-    if lam <= 0.25:
-        return CountResult(count=0, lam=lam, n=0, t_hi=float(end.t0),
-                           converged=True)
-    t_max, n = _shared_grid(end, lam, t_max)
-    ells = _window(end, lam, t_max, n)
+    lam, t_max, n, grid, ells = _first_grid(end, lam, t_max)
     if ells.size > _MAX_MODES:
         return CountResult(count=0, lam=lam, n=n, t_hi=t_max, converged=False)
-    coeffs = partial(_coefficients, end)
     counts = np.zeros(ells.size, dtype=np.int64)
     active = np.arange(ells.size)
     for sweep in range(_MAX_REFINEMENTS):
+        if active.size == 0:
+            break
         if sweep:
             n *= 2
-        h = (t_max - end.t0) / (n + 1)
+            grid = _grid(end, t_max, n)
+        h, _, coeffs = grid
         delta = 2.0 * h * h * (lam - 0.25) ** 2 / 12.0
         at, below = mode_counts(
-            coeffs, float(end.t0), t_max, n, np.tile(ells[active], 2),
+            *(x[1:-1] for x in coeffs), h, np.tile(ells[active], 2),
             np.repeat((lam, lam - delta), active.size)).reshape(2, -1)
         counts[active] = at
         active = active[at != below]
-        if active.size == 0:
-            break
     live = ells[counts > 0]
     mode_range = (int(live[0]), int(live[-1])) if live.size else None
     return CountResult(count=int(counts.sum()), lam=lam, n=n, t_hi=t_max,

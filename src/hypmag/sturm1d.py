@@ -183,7 +183,7 @@ def _cut_sweep(alpha, c2s, d, tail):
     return count + k, d, False
 
 
-# grid rows per coefficient evaluation and per scalar sweep
+# grid rows per scalar sweep and per block of _tail_floors
 _COEFF_ROWS = 1024
 # relative slack of the dominance tests of _cut_sweep
 _SLACK = 1e-8
@@ -206,28 +206,32 @@ def _lockstep(alpha, d, c2):
     return piv
 
 
-def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
-                lam) -> np.ndarray:
+def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
     """Strict counts below lam for a family of operators on one grid.
 
-    coeffs(t) returns arrays (a, w, q) on the grid points t; the operator
-    of the mode ell is -d^2/dt^2 + (ell - a)^2 w + q on (t_lo, t_hi), with
-    Dirichlet ends and the 3-point scheme on n interior points, as in
-    discretize; lam is a scalar or per-mode thresholds broadcast to ells.
-    Each count equals count_below on the mode's own operator at its lam
-    up to the rounding of its diagonal; memory does not grow with n.
+    a, w and q hold the coefficients on the n interior points of a grid of
+    step h; the operator of the mode ell is -d^2/dt^2 + (ell - a)^2 w + q
+    there, with Dirichlet ends and the 3-point scheme, as in discretize;
+    lam is a scalar or per-mode thresholds broadcast to ells.  Each count
+    equals count_below on the mode's own operator at its lam up to the
+    rounding of its diagonal.  Past a, w and q it holds a few floats per
+    row while it finds the tails, then one lockstep block.
 
-    The modes run as columns sorted by ell; a pass over the coefficients
-    from the far wall finds their tails (module docstring) in O(n + modes
-    log n).  The columns in play form one slice, swept in numpy lockstep in
-    blocks of about _BLOCK_CELLS cells (redone on the scalar recurrence at a
-    zero pivot), that every _CUT_ROWS rows drops the columns at its ends
-    past their cuts; at _NARROW columns they finish on count_below's loop.
+    The modes run as columns sorted by ell; one suffix-hull pass over the
+    rows finds their tails (module docstring) in O(n + modes log n).  The
+    columns in play form one slice, swept in numpy lockstep in blocks of
+    about _BLOCK_CELLS cells (redone on the scalar recurrence at a zero
+    pivot), that every _CUT_ROWS rows drops the columns at its ends past
+    their cuts; at _NARROW columns they finish on count_below's loop, a
+    _COEFF_ROWS block at a time.
     """
-    if not (t_lo < t_hi):
-        raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    if n < 1:
-        raise ValueError("need at least one interior grid point")
+    a, w, q = (np.asarray(x, dtype=float) for x in (a, w, q))
+    n = a.size
+    if not (a.ndim == 1 and a.shape == w.shape == q.shape and n >= 1):
+        raise ValueError("a, w and q must be 1-d arrays of one nonzero length")
+    h = float(h)
+    if not (0.0 < h < math.inf):
+        raise ValueError(f"need a finite grid step h > 0, got {h}")
     ells = np.asarray(ells, dtype=float)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), ells.shape)
     m = ells.size
@@ -236,13 +240,11 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
         return counts
     order = np.argsort(ells, kind="stable")
     ells, lam = ells[order], lam[order]
-    h = (t_hi - t_lo) / (n + 1)
     inv_h2 = 1.0 / (h * h)
     c2 = inv_h2 * inv_h2
-    blocks = [(lo, min(n, lo + _COEFF_ROWS)) for lo in range(0, n, _COEFF_ROWS)]
 
     def alphas(rows, cols):
-        # alpha = (2/h^2 + (ell - a)^2 w + q) - lam on the block's rows
+        # alpha = (2/h^2 + (ell - a)^2 w + q) - lam on the rows
         alpha = ells[cols] - a[rows, None]
         alpha *= alpha
         alpha *= w[rows, None]
@@ -251,52 +253,48 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
         alpha -= lam[cols]
         return alpha
 
-    # tails from the far wall: a row leaves a -+ x short (NaN x: no mode; unfit: all)
-    top = float(np.max(lam))
-    spare = top + 4.0 * _SLACK * inv_h2 + 16.0 * _EPS * abs(top)
-    tail, hull, seen = np.zeros(m, dtype=np.int64), (np.inf, -np.inf), None
     # an overflowing (ell - a)^2 w is an infinite diagonal: a positive pivot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo, hi in reversed(blocks):
-            seen = lo, coeffs(t_lo + h * np.arange(lo + 1, hi + 1))
-            a, w, q = seen[1]
-            r2 = (spare - q + 16.0 * _EPS * np.abs(q)) / w
-            x = np.sqrt(r2) * (1.0 + 4.0 * _EPS) + 4.0 * _EPS * np.abs(a)
-            unfit = ~(np.isfinite(a) & (w >= 0.0) & (r2 == r2))
-            left = np.append(np.where(unfit, -np.inf, a - x), hull[0])
-            right = np.append(np.where(unfit, np.inf, a + x), hull[1])
-            left = np.fmin.accumulate(left[::-1])[::-1]
-            right = np.fmax.accumulate(right[::-1])[::-1]
-            hull = left[0], right[0]
-            k = np.searchsorted(left, ells, "right")
-            np.minimum(k, right.size - np.searchsorted(right[::-1], ells), out=k)
-            k[k > 0] += lo
-            np.maximum(tail, k, out=tail)
-            if hull[0] <= ells[0] and ells[-1] <= hull[1]:
-                break
+        # tails: a row leaves a -+ x short (NaN x: no mode; unfit: all), and
+        # a mode's tail is one past the last row whose suffix hull holds it
+        top = float(np.max(lam))
+        spare = top + 4.0 * _SLACK * inv_h2 + 16.0 * _EPS * abs(top)
+        r2 = (spare - q + 16.0 * _EPS * np.abs(q)) / w
+        x = np.sqrt(r2) * (1.0 + 4.0 * _EPS) + 4.0 * _EPS * np.abs(a)
+        unfit = ~(np.isfinite(a) & (w >= 0.0) & (r2 == r2))
+        left = np.fmin.accumulate(np.where(unfit, -np.inf, a - x)[::-1])[::-1]
+        right = np.fmax.accumulate(np.where(unfit, np.inf, a + x)[::-1])[::-1]
+        tail = np.searchsorted(left, ells, "right")
+        np.minimum(tail, n - np.searchsorted(right[::-1], ells), out=tail)
         tail = -(-tail // _CUT_ROWS) * _CUT_ROWS
         prev, final = np.full(m, math.inf), np.zeros(m, dtype=bool)
         # the slice j0:j1 of columns in play; none is final before row test
-        j0, j1, test = 0, m, int(tail.min())
-        for c_lo, c_hi in blocks:
-            a, w, q = (seen[1] if c_lo == seen[0]
-                       else coeffs(t_lo + h * np.arange(c_lo + 1, c_hi + 1)))
-            # squared couplings to the row before; none at row 0
-            c2b, r = [c2 * (c_lo > 0)] + [c2] * (c_hi - c_lo - 1), c_lo
-            while r < c_hi:
-                if r == test:
-                    d = prev[j0:j1]
-                    final[j0:j1] |= ((tail[j0:j1] <= r) & (d >= 0.0)
-                                     & (d * d >= (1.0 + _SLACK) ** 2 * c2))
-                    live = ~final[j0:j1]  # argmax: first live one, or 0
-                    j1 -= int(live[::-1].argmax()) if live.any() else j1 - j0
-                    j0 += int(live.argmax())
-                    test = max(r + _CUT_ROWS, int(tail[j0:j1].min(initial=n)))
-                if j1 - j0 <= _NARROW:
+        j0, j1, r, test = 0, m, 0, int(tail.min())
+        while r < n:
+            if r == test:
+                d = prev[j0:j1]
+                final[j0:j1] |= ((tail[j0:j1] <= r) & (d >= 0.0)
+                                 & (d * d >= (1.0 + _SLACK) ** 2 * c2))
+                live = ~final[j0:j1]  # argmax: the first live one
+                if not live.any():
                     break
-                hi = min(c_hi, r + max(1, _BLOCK_CELLS // (j1 - j0)), test)
-                i = slice(r - c_lo, hi - c_lo)
-                alpha = alphas(i, slice(j0, j1))
+                j1 -= int(live[::-1].argmax())
+                j0 += int(live.argmax())
+                test = max(r + _CUT_ROWS, int(tail[j0:j1].min()))
+            narrow = j1 - j0 <= _NARROW
+            # the last columns finish alone, a _COEFF_ROWS block at a time
+            hi = (min(n, (r // _COEFF_ROWS + 1) * _COEFF_ROWS) if narrow
+                  else min(n, r + max(1, _BLOCK_CELLS // (j1 - j0)), test))
+            alpha = alphas(slice(r, hi), slice(j0, j1))
+            # squared couplings to the row before; none at row 0
+            c2s = [c2 * (r > 0)] + [c2] * (hi - r - 1)
+            if narrow:
+                for j in j0 + np.flatnonzero(~final[j0:j1]):
+                    k, prev[j], final[j] = _cut_sweep(
+                        alpha[:, j - j0], c2s, float(prev[j]), tail[j] - r)
+                    counts[j] += k
+                test = hi
+            else:
                 piv = _lockstep(alpha, prev[j0:j1], c2)
                 if piv.all():
                     counts[j0:j1] += (piv < 0.0).sum(axis=0)
@@ -304,19 +302,9 @@ def mode_counts(coeffs, t_lo: float, t_hi: float, n: int, ells,
                 else:
                     for j in range(j0, j1):
                         k, prev[j] = _pivot_sweep(
-                            alpha[:, j - j0].tolist(), c2b[i], float(prev[j]))
+                            alpha[:, j - j0].tolist(), c2s, float(prev[j]))
                         counts[j] += k
-                r = hi
-            if r < c_hi and j0 < j1:
-                i = slice(r - c_lo, None)
-                alpha = alphas(i, slice(j0, j1))
-                for j in j0 + np.flatnonzero(~final[j0:j1]):
-                    k, prev[j], final[j] = _cut_sweep(
-                        alpha[:, j - j0], c2b[i], float(prev[j]), tail[j] - r)
-                    counts[j] += k
-                test = c_hi
-            if final[j0:j1].all():
-                break
+            r = hi
     out = np.empty_like(counts)
     out[order] = counts
     return out

@@ -55,10 +55,10 @@ class WeylOptions:
         if not (1.0 / 3.0 < self.delta < 2.0 / 5.0):
             raise ValueError(
                 f"delta must lie in (1/3, 2/5) strictly, got {self.delta}")
-        if not (self.quad_tol > 0.0):
-            raise ValueError("quad_tol must be positive")
-        if self.bracket_C < 0.0:
-            raise ValueError("bracket_C must be >= 0")
+        if not (0.0 < self.quad_tol < math.inf):
+            raise ValueError(f"quad_tol must be finite and > 0, got {self.quad_tol}")
+        if not (0.0 <= self.bracket_C < math.inf):
+            raise ValueError(f"bracket_C must be finite and >= 0, got {self.bracket_C}")
 
 
 def _end_list(ends):
@@ -348,6 +348,8 @@ def fit_exponent(samples) -> ExponentFit:
     if len(pairs) < 3:
         raise ValueError("need at least three samples to fit an exponent")
     lams, counts = np.array(pairs).T
+    if not np.isfinite(lams).all() or not np.isfinite(counts).all():
+        raise ValueError("samples must be finite")
     if np.any(np.diff(lams) <= 0.0):
         raise ValueError("lambda samples must be strictly increasing")
     if np.any(counts <= 0.0) or np.any(lams <= 0.0):

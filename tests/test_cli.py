@@ -361,6 +361,12 @@ class TestErrorPaths:
                                 "--window", "1")
         assert rc == 1
         assert "--window" in err
+        # refused by MorseOptions: no NaN grid, no numpy warning
+        for bad in ("nan,4", "-inf,4"):
+            rc, out, err = run_main(capsys, "morse-check", "--beta", "2.3",
+                                    f"--window={bad}")
+            assert rc == 1
+            assert err.startswith("error: --window") and "finite" in err, bad
 
     def test_lambdas_malformed(self, capsys, cusp_cfg):
         rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_cusp, make_funnel
@@ -151,6 +152,16 @@ class TestMorseCheck:
             MorseOptions(s_lo=1.0, s_hi=0.0)
         with pytest.raises(ValueError):
             MorseOptions(n=4)
+        # named here, not a NaN grid or a numpy TypeError in discretize
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                MorseOptions(s_lo=bad)
+            with pytest.raises(ValueError, match="must be finite"):
+                MorseOptions(s_hi=bad)
+        for bad in (2000.0, True, "2000"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                MorseOptions(n=bad)
+        assert MorseOptions(n=np.int64(2000)).n == 2000
 
 
 class TestFunnelModeLimit:

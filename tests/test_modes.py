@@ -260,6 +260,27 @@ class TestScanEdgeCases:
             for t_max in (350.0, 354.8):
                 assert count_end(end, 50.0, t_max=t_max).count == 21
 
+    def test_funnel_overflow_is_an_error(self):
+        # cosh t sinh t in the gauge of b~ = cosh t overflows past t =
+        # 355.59: that wall is refused, and without numpy warnings first
+        end = make_funnel([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite at t=355.5"):
+                count_end(end, 50.0, t_max=800.0)
+            with pytest.raises(DomainError, match="not finite"):
+                mode_potential(end, 0)(np.array([1.0, 800.0]))
+
+    def test_funnel_wall_near_overflow_is_quiet(self):
+        # at t = 355.5 w = sech^2 t is subnormal and a near -1e308; a wall
+        # there, deep in the forbidden region, keeps the count
+        end = make_funnel([0.0, 1.0])
+        want = count_end(end, 10.0).count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t_max in (350.0, 355.5):
+                assert count_end(end, 10.0, t_max=t_max).count == want
+
     def test_options_validation(self, monkeypatch):
         # an explicit wall is checked also where lam <= 1/4 returns early,
         # and that path never searches for a wall of its own
@@ -293,6 +314,25 @@ class TestScanEdgeCases:
                     count_end(end, bad, t_max=t_max)
                 with pytest.raises(ValueError, match="lam must be finite"):
                     mode_window(end, bad, t_max=t_max)
+
+    def test_one_coefficient_evaluation_per_grid(self, monkeypatch):
+        # the window and the first sweep read one evaluation of (a, w, q)
+        # on the n + 2 points of the first grid; each refinement one more
+        sizes = []
+        coefficients = modes._coefficients
+
+        def counted(end, t):
+            sizes.append(np.size(t))
+            return coefficients(end, t)
+        monkeypatch.setattr(modes, "_coefficients", counted)
+        for end, lam in ((make_cusp([0.0, 1.0]), 400.0),
+                         (make_funnel([0.0, 0.0, 1.0]), 25.0)):
+            sizes.clear()
+            res = count_end(end, lam)
+            n0 = sizes[0] - 2
+            assert len(sizes) > 1 and res.converged
+            assert sizes == [(n0 << k) + 2 for k in range(len(sizes))]
+            assert res.n == n0 << (len(sizes) - 1)
 
     def test_result_metadata(self):
         end = make_cusp([0.0, 1.0])

@@ -241,7 +241,7 @@ class TestDominantTailCut:
             lams = rng.uniform(-1.0, 60.0, m)
             lams[::3] = 2.0
             with np.errstate(over="ignore", invalid="ignore"):
-                got = mode_counts(coeffs, t_lo, t_hi, n, ells, lams)
+                got = grid_counts(coeffs, t_lo, t_hi, n, ells, lams)
                 h = (t_hi - t_lo) / (n + 1)
                 inv_h2 = 1.0 / (h * h)
                 a, w, q = coeffs(t_lo + h * np.arange(1, n + 1))
@@ -395,6 +395,13 @@ def cusp_coeffs(t):
     return 0.3 + 0.5 * np.exp(-t), np.exp(2.0 * t), 0.25 + 0.0 * t
 
 
+def grid_counts(coeffs, t_lo, t_hi, n, ells, lam):
+    """mode_counts on coeffs(t) = (a, w, q) at the n interior points of a
+    uniform grid on (t_lo, t_hi)."""
+    h = (t_hi - t_lo) / (n + 1)
+    return mode_counts(*coeffs(t_lo + h * np.arange(1, n + 1)), h, ells, lam)
+
+
 def mode_alphas(coeffs, t_lo, t_hi, n, ells, lams):
     """Per mode, its diagonal minus its lam, rounded as mode_counts does."""
     h = (t_hi - t_lo) / (n + 1)
@@ -441,7 +448,7 @@ def slice_rows(cuts, n, narrow):
     """Rows each column sweeps in the lockstep, and the rows of each scalar
     call in order: every _CUT_ROWS rows the slice of sorted columns drops
     the ends past their cuts, and once it holds at most narrow columns
-    those not past their cuts finish alone, one coefficient block at a
+    those not past their cuts finish alone, one _COEFF_ROWS block at a
     time."""
     m, j0, j1 = len(cuts), 0, len(cuts)
     lock = [n] * m
@@ -498,7 +505,7 @@ class TestModeCounts:
         grid = t_lo + h * np.arange(1, n + 1)
         a, w, q = wavy_coeffs(grid)
         for lam in (3.0, 17.5, 60.0):
-            got = mode_counts(wavy_coeffs, t_lo, t_hi, n, ells, lam)
+            got = grid_counts(wavy_coeffs, t_lo, t_hi, n, ells, lam)
             for ell, k in zip(ells, got):
                 diag = 2.0 / (h * h) + (ell - a) ** 2 * w + q
                 evals = dense_eigenvalues(diag, np.full(n - 1, -1.0 / (h * h)))
@@ -509,7 +516,7 @@ class TestModeCounts:
     def test_matches_count_below(self):
         ells = np.arange(-6, 7)
         grid = (0.5, 3.5, 97)
-        got = mode_counts(wavy_coeffs, *grid, ells, 20.0)
+        got = grid_counts(wavy_coeffs, *grid, ells, 20.0)
         for ell, k in zip(ells, got):
             def V(t, ell=ell):
                 a, w, q = wavy_coeffs(t)
@@ -527,7 +534,7 @@ class TestModeCounts:
         narrow = sturm1d._NARROW
         for n, m in ((5, 3), (7, 1), (51, 2000), (2049, 20), (5, narrow),
                      (2049, 1), (2049, narrow)):
-            got = mode_counts(zero, 0.0, n + 1.0, n, np.arange(m), 2.0)
+            got = grid_counts(zero, 0.0, n + 1.0, n, np.arange(m), 2.0)
             assert got.tolist() == [(n - 1) // 2] * m
 
     def test_zero_pivot_nudge_matches_count_below(self):
@@ -543,7 +550,7 @@ class TestModeCounts:
         for n in (5, 51, 2049):
             T = discretize(lambda t: dips(t)[2], 0.0, n + 1.0, n)
             for m in (1, sturm1d._NARROW, 20):
-                got = mode_counts(dips, 0.0, n + 1.0, n, np.arange(m), 2.0)
+                got = grid_counts(dips, 0.0, n + 1.0, n, np.arange(m), 2.0)
                 assert got.tolist() == [count_below(T, 2.0)] * m
 
     @pytest.mark.parametrize("form", ["default", "scalar", "lockstep"])
@@ -564,7 +571,7 @@ class TestModeCounts:
                         0.25 + wobble * np.cos(t))
             ells = rng.uniform(-6.0, 6.0, m)
             lam = float(rng.uniform(5.0, 80.0))
-            got = mode_counts(coeffs, 0.0, 5.0, n, ells, lam)
+            got = grid_counts(coeffs, 0.0, 5.0, n, ells, lam)
             for ell, k in zip(ells, got):
                 def V(t, ell=ell):
                     a, w, q = coeffs(t)
@@ -581,8 +588,8 @@ class TestModeCounts:
         for m in widths:
             ells = rng.uniform(-6.0, 6.0, m)
             lams = rng.uniform(5.0, 80.0, m)
-            got = mode_counts(wavy_coeffs, 0.0, 5.0, n, ells, lams)
-            want = [mode_counts(wavy_coeffs, 0.0, 5.0, n, [ell], float(lam))[0]
+            got = grid_counts(wavy_coeffs, 0.0, 5.0, n, ells, lams)
+            want = [grid_counts(wavy_coeffs, 0.0, 5.0, n, [ell], float(lam))[0]
                     for ell, lam in zip(ells, lams)]
             assert got.tolist() == want
 
@@ -591,7 +598,7 @@ class TestModeCounts:
         # _CUT_ROWS in its dominant tail whose pivot dominates the coupling
         m, n, lam = sturm1d._NARROW, 300, 20.0
         lock, calls = record_sweeps(monkeypatch, m)
-        mode_counts(wavy_coeffs, 0.0, 4.0, n, np.arange(m), lam)
+        grid_counts(wavy_coeffs, 0.0, 4.0, n, np.arange(m), lam)
         alphas, inv_h2 = mode_alphas(wavy_coeffs, 0.0, 4.0, n, range(m), [lam] * m)
         tails = dominant_tails(wavy_coeffs, 0.0, 4.0, n, range(m), lam)
         cuts = [pivot_cut(x, inv_h2 * inv_h2, tail) for x, tail in zip(alphas, tails)]
@@ -607,7 +614,7 @@ class TestModeCounts:
         ells = np.repeat(np.arange(-12.0, 12.0), 2)
         lams = np.tile([400.0, 399.5], 24)
         lock, calls = record_sweeps(monkeypatch, ells.size)
-        got = mode_counts(cusp_coeffs, 0.0, 4.0, n, ells, lams)
+        got = grid_counts(cusp_coeffs, 0.0, 4.0, n, ells, lams)
         alphas, inv_h2 = mode_alphas(cusp_coeffs, 0.0, 4.0, n, ells, lams)
         tails = dominant_tails(cusp_coeffs, 0.0, 4.0, n, ells, 400.0)
         cuts = [pivot_cut(x, inv_h2 * inv_h2, tail) for x, tail in zip(alphas, tails)]
@@ -637,9 +644,9 @@ class TestModeCounts:
         monkeypatch.setattr(sturm1d, "_NARROW", 0 if m > 16 else 10**9)
         ells = np.linspace(-9.0, 9.0, m)
         lock, calls = record_sweeps(monkeypatch, m)
-        got = mode_counts(coeffs, 0.0, 4.0, n, ells, 300.0)
+        got = grid_counts(coeffs, 0.0, 4.0, n, ells, 300.0)
         # no column is final before the NaN row, so each takes one scalar
-        # call per coefficient block in the narrow form
+        # call per _COEFF_ROWS block in the narrow form
         scalar = np.reshape(calls, (-1, m)).sum(axis=0) if calls else 0
         assert min(np.add(lock, scalar)) > nan_row
         alphas, _ = mode_alphas(coeffs, 0.0, 4.0, n, ells, [300.0] * m)
@@ -651,22 +658,30 @@ class TestModeCounts:
         # walls at -8 and 8 move far less than their distance to lambda
         def well(t):
             return 0.0 * t, 0.0 * t, t * t
-        got = mode_counts(well, -8.0, 8.0, 2000, np.arange(-3, 4), 10.0)
+        got = grid_counts(well, -8.0, 8.0, 2000, np.arange(-3, 4), 10.0)
         assert got.tolist() == [5] * 7
 
     def test_offset_well(self):
         # the well (t - 5)^2 on [0, 12] has the levels 1, 3, 5, 7 below 8
         def well(t):
             return 0.0 * t, 0.0 * t, (t - 5.0) ** 2
-        got = mode_counts(well, 0.0, 12.0, 2000, np.arange(-3, 4), 8.0)
+        got = grid_counts(well, 0.0, 12.0, 2000, np.arange(-3, 4), 8.0)
         assert got.tolist() == [4] * 7
 
     def test_empty_family(self):
-        got = mode_counts(wavy_coeffs, 0.0, 1.0, 8, [], 5.0)
+        got = grid_counts(wavy_coeffs, 0.0, 1.0, 8, [], 5.0)
         assert got.shape == (0,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mode_counts(wavy_coeffs, 1.0, 1.0, 8, [0], 5.0)
+            grid_counts(wavy_coeffs, 1.0, 1.0, 8, [0], 5.0)
         with pytest.raises(ValueError):
-            mode_counts(wavy_coeffs, 0.0, 1.0, 0, [0], 5.0)
+            grid_counts(wavy_coeffs, 0.0, 1.0, 0, [0], 5.0)
+        a, w, q = wavy_coeffs(np.linspace(0.1, 0.9, 8))
+        for bad in ((a[:-1], w, q), (a, w[:-1], q), (a, w, q[1:]),
+                    (a[:0], w[:0], q[:0]), (a.reshape(2, 4), w, q)):
+            with pytest.raises(ValueError, match="a, w and q"):
+                mode_counts(*bad, 0.1, [0], 5.0)
+        for h in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="grid step"):
+                mode_counts(a, w, q, h, [0], 5.0)

@@ -154,6 +154,12 @@ class TestWeylIntegral:
             WeylOptions(quad_tol=0.0)
         with pytest.raises(ValueError):
             WeylOptions(bracket_C=-0.5)
+        # named here, not a LinAlgError inside theorem1_bracket
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="bracket_C"):
+                WeylOptions(bracket_C=bad)
+            with pytest.raises(ValueError, match="quad_tol"):
+                WeylOptions(quad_tol=bad)
 
 
 class TestOmega:
@@ -367,3 +373,10 @@ class TestFitExponent:
             fit_exponent([(1.0, 1.0), (1.0, 2.0), (3.0, 4.0)])
         with pytest.raises(ValueError):
             fit_exponent([(1.0, 1.0), (2.0, 0.0), (3.0, 4.0)])
+        # a silent NaN fit, or a LinAlgError with LAPACK lines on stderr
+        for bad in ([(1.0, 1.0), (2.0, math.nan), (3.0, 4.0)],
+                    [(1.0, 1.0), (2.0, 2.0), (3.0, math.inf)],
+                    [(1.0, 1.0), (2.0, 2.0), (math.inf, 4.0)],
+                    [(1.0, 1.0), (math.nan, 2.0), (3.0, 4.0)]):
+            with pytest.raises(ValueError, match="finite"):
+                fit_exponent(bad)
