@@ -214,13 +214,18 @@ def _parse_lambdas(args) -> list[float]:
     if len(parts) != 3:
         raise ConfigError("--lambda-geom: expected start,factor,count")
     try:
-        start, factor = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        start, factor, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--lambda-geom: {exc}") from exc
-    if start <= 0.0 or factor <= 0.0 or count < 1:
-        raise ConfigError("--lambda-geom: start, factor must be > 0 and count >= 1")
-    return [start * factor ** i for i in range(count)]
+    if not (0.0 < start < math.inf and 0.0 < factor < math.inf and count >= 1):
+        raise ConfigError("--lambda-geom: start, factor must be finite, > 0; count >= 1")
+    try:
+        vals = [start * factor ** i for i in range(count)]
+    except OverflowError:
+        vals = [math.inf]
+    if math.inf in vals:
+        raise ConfigError(f"--lambda-geom: {start} * {factor}^{count - 1} overflows")
+    return vals
 
 
 def _pick_end(cfg: SurfaceConfig, index: int):

@@ -31,10 +31,11 @@ def landau_count(mu: float, b: float) -> float:
         return 0.0
     if b == 0.0:
         return 0.5 * mu
-    # #{k >= 0 : (2k+1) b < mu} = ceil((mu - b) / (2b)), clipped at 0.
-    # The ceil form is exact at the jump points mu = (2k+1) b.
-    k = math.ceil((mu - b) / (2.0 * b))
-    return b * max(0, k)
+    # #{k >= 0 : (2k+1) b < mu} = ceil(x), x = (mu - b)/b/2 (2b may overflow),
+    # clipped at 0: exact at the jump points mu = (2k+1) b.  If x overflows,
+    # b ceil(x) is in [(mu - b)/2, (mu - b)/2 + b), b < mu 2^-1023: mu/2.
+    x = (mu - b) / b / 2.0
+    return 0.5 * mu if math.isinf(x) else b * max(0, math.ceil(x))
 
 
 def ess_bottom(beta: float) -> float:

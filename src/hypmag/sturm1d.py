@@ -28,9 +28,11 @@ threshold, the modes a row leaves short of dominance with slack 2 s,
 the computed alpha = 2/h^2 + (ell - a)^2 w + q - lam is dominant with
 slack s, as 16 eps (|lam| + |q|) added to lam - q and 4 eps (x + |a|) to x
 cover the ulps of the terms, their sums and the interval, and the spare
-2 s/h^2 those of 2/h^2.  A non-finite a or q, or a NaN or negative w,
-leaves every mode short; w = +inf (a cusp wall) only a.  A column past
-its cut may sweep on in the lockstep: its pivots stay positive.
+2 s/h^2 those of 2/h^2.  x is sqrt(lam - q + ...) / sqrt(w), three
+roundings, as the root of the quotient overflows where w is subnormal.
+A non-finite a or q, or a NaN or negative w, leaves every mode short;
+w = +inf (a cusp wall) only a.  A column past its cut may sweep on in
+the lockstep: its pivots stay positive.
 """
 
 from __future__ import annotations
@@ -259,9 +261,11 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
         # a mode's tail is one past the last row whose suffix hull holds it
         top = float(np.max(lam))
         spare = top + 4.0 * _SLACK * inv_h2 + 16.0 * _EPS * abs(top)
-        r2 = (spare - q + 16.0 * _EPS * np.abs(q)) / w
-        x = np.sqrt(r2) * (1.0 + 4.0 * _EPS) + 4.0 * _EPS * np.abs(a)
-        unfit = ~(np.isfinite(a) & (w >= 0.0) & (r2 == r2))
+        x = np.sqrt(spare - q + 16.0 * _EPS * np.abs(q)) / np.sqrt(w)
+        x[w == np.inf] = 0.0
+        x *= 1.0 + 4.0 * _EPS
+        x += 4.0 * _EPS * np.abs(a)
+        unfit = ~(np.isfinite(a) & np.isfinite(q) & (w >= 0.0))
         left = np.fmin.accumulate(np.where(unfit, -np.inf, a - x)[::-1])[::-1]
         right = np.fmax.accumulate(np.where(unfit, np.inf, a + x)[::-1])[::-1]
         tail = np.searchsorted(left, ells, "right")

@@ -12,7 +12,8 @@ a, so the integral is sum k |a(hi) - a(lo)| over these pieces.  Near a
 zero of b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in
 for the levels.  One vectorised loop of Newton steps, each replaced by
 the midpoint where it would leave its bracket, finds every crossing in
-the cells of a sample grid on which b~ is monotone.  The bracket for
+the cells between t0, the turning points of b~ and the end of the range,
+on each of which b~ is monotone.  The bracket for
 admissible (delta, C) integrates its weights over the same pieces by
 Gauss-Legendre.  Also here: the sublevel areas omega, all of them from
 one pass per end, their doubling check, and log-log exponent fits.
@@ -29,8 +30,6 @@ from .model import (BoundedFieldError, CuspEnd, FunnelEnd, RadialField,
                     SurfaceEnds, _radii, eval_field, finite, gauge_function,
                     last_crossing)
 
-_GRID = 4096            # samples of b~ on [t0, t_end] in the first pass
-_MAX_GRID = 1 << 18     # finest sample grid before the piece check gives up
 _MAX_PIECES = 1 << 22   # pieces held at once; a quarter of that in levels
 _ROUNDS = 8             # cutoff reductions before the kink bound gives up
 _HALVINGS = 40          # Gauss-Legendre halvings before giving up
@@ -79,87 +78,78 @@ def _area(end, lo, hi):
 
 
 def _span(end, mu: float):
-    """(t_end, the turning points of b~ in (t0, t_end)).  Past t_end, the
-    last crossing of |b~| = max(2 mu, mu + 1), |b~| stays above mu; t_end
-    = t0 if mu <= 0, so that nothing is sampled."""
+    """The cells of [t0, t_end] on which b~ is monotone, so |b~| is least at
+    an end of each, and b~ at those ends: t0, the turning points of b~ below
+    t_end, and t_end.  Past t_end, the last crossing of |b~| = max(2 mu,
+    mu + 1), |b~| stays above mu; no cells if mu <= 0 or t_end = t0."""
     t_end = last_crossing(end, max(2.0 * mu, mu + 1.0))
-    if mu <= 0.0:
-        return end.t0, np.empty(0)
+    if mu <= 0.0 or t_end == end.t0:
+        return np.empty(0), np.empty(0)
     c = end.field.coeffs[1:end.field.degree + 1]
     turns = _radii(end, np.arange(1, len(c) + 1) * np.array(c))
-    return t_end, turns[turns < t_end]
-
-
-def _samples(end, span, n: int):
-    """n radii on [t0, t_end] plus the turning points of b~ (so that b~ is
-    monotone between samples), and b~ there; none if t_end = t0."""
-    t_end, turns = span
-    if t_end == end.t0:
-        return np.empty(0), np.empty(0)
-    t = np.union1d(np.linspace(end.t0, t_end, n), turns)
+    t = np.union1d([end.t0, t_end], turns[turns < t_end])
     return t, np.asarray(eval_field(end, t), dtype=float)
 
 
 def _pieces(end, span, cuts):
     """Edges of the pieces of [t0, t_end] where b~ keeps its sign and |b~|
-    crosses no cut, and b~ at their midpoints.  A sample cell is a bracket,
-    or two around a zero of b~; a cut c strictly between a bracket's values
-    of |b~| is the root of the monotone f = (sign b~) b~ - c there.  One
-    loop finds all roots, starting where the chord of f crosses zero.  A
-    step moves the bracket end with f's sign to the current point, then
+    crosses no cut, and b~ at their midpoints.  A cell of span is a
+    bracket, or two around a zero of b~; a cut c strictly between a
+    bracket's values of |b~| is the root of the monotone f = (sign b~) b~ - c
+    there.  One loop finds all roots, starting where the chord of f in
+    cosh t (funnel) or e^t (cusp) crosses zero: the root if b~ has degree 1.
+    A step moves the bracket end with f's sign to the current point, then
     goes to the Newton point of f (slope from profile_dt) if that lies
     strictly inside the bracket, else to the midpoint.  A root is final,
     and stays put, once its Newton step rounds to zero, f = 0, or no float
-    lies strictly inside its bracket.  The sample grid is refined while
-    the band or sign of b~ just inside the ends of some piece differs from
-    that at its midpoint."""
+    lies strictly inside its bracket.  A RuntimeError reports a piece where
+    the band or sign of b~ just inside its ends differs from its midpoint's."""
+    t, b = span
+    if t.size == 0:
+        return t, b
     cuts = np.sort(np.asarray(cuts, dtype=float))
-    n = _GRID
-    while n <= _MAX_GRID:
-        t, b = _samples(end, span, n)
-        if t.size == 0:
-            return t, b
-        v = np.abs(b)
-        flip = np.flatnonzero(b[:-1] * b[1:] < 0.0)
-        cell = np.concatenate([np.arange(t.size - 1), flip])
-        sign = np.concatenate([np.sign(b[:-1] + b[1:]), np.sign(b[flip + 1])])
-        m = np.concatenate([np.minimum(v[:-1], v[1:]), np.zeros(flip.size)])
-        M = np.concatenate([np.maximum(v[:-1], v[1:]), v[flip + 1]])
-        sign[flip], m[flip], M[flip] = np.sign(b[flip]), 0.0, v[flip]
-        first = np.searchsorted(cuts, m, side="right")
-        count = np.maximum(np.searchsorted(cuts, M, side="left") - first, 0)
-        j = np.repeat(np.arange(count.size), count)
-        c = cuts[first[j] + np.arange(j.size)
-                 - np.repeat(np.cumsum(count) - count, count)]
-        cell = np.concatenate([cell[j], flip])
-        s = np.concatenate([sign[j], np.ones(flip.size)])
-        c = np.concatenate([c, np.zeros(flip.size)])
-        lo, hi = t[cell], t[cell + 1]
-        f_lo, f_hi = s * b[cell] - c, s * b[cell + 1] - c
-        neg = f_lo < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-            x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-            while x.size:
-                f = s * eval_field(end, x) - c
-                right = (f < 0.0) == neg
-                lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-                newton = x - f / (s * end.field.profile_dt(x))
-                mid = 0.5 * (lo + hi)
-                done = (newton == x) | (f == 0.0) | ~((lo < mid) & (mid < hi))
-                if done.all():
-                    break
-                x = np.where(done, x, np.where((lo < newton) & (newton < hi), newton, mid))
-        edges = np.unique(np.concatenate([t[[0, -1]], x]))
-        lo, hi = edges[:-1], edges[1:]
-        inside = lo + np.multiply.outer([1e-3, 0.5, 0.999], hi - lo)
-        b = np.asarray(eval_field(end, inside))
-        band = np.searchsorted(cuts, np.abs(b))
-        agree = (np.sign(b) == np.sign(b[1])) & (band == band[1])
-        if np.all(agree | (hi - lo <= 1e-9 * (1.0 + np.abs(hi)))):
-            return edges, b[1]
-        n *= 2
-    raise RuntimeError(f"breakpoints still missing on {_MAX_GRID} samples")
+    v = np.abs(b)
+    flip = np.flatnonzero(b[:-1] * b[1:] < 0.0)
+    cell = np.concatenate([np.arange(t.size - 1), flip])
+    sign = np.concatenate([np.sign(b[:-1] + b[1:]), np.sign(b[flip + 1])])
+    m = np.concatenate([np.minimum(v[:-1], v[1:]), np.zeros(flip.size)])
+    M = np.concatenate([np.maximum(v[:-1], v[1:]), v[flip + 1]])
+    sign[flip], m[flip], M[flip] = np.sign(b[flip]), 0.0, v[flip]
+    first = np.searchsorted(cuts, m, side="right")
+    count = np.maximum(np.searchsorted(cuts, M, side="left") - first, 0)
+    j = np.repeat(np.arange(count.size), count)
+    c = cuts[first[j] + np.arange(j.size)
+             - np.repeat(np.cumsum(count) - count, count)]
+    cell = np.concatenate([cell[j], flip])
+    s = np.concatenate([sign[j], np.ones(flip.size)])
+    c = np.concatenate([c, np.zeros(flip.size)])
+    lo, hi = t[cell], t[cell + 1]
+    f_lo, f_hi = s * b[cell] - c, s * b[cell + 1] - c
+    neg = f_lo < 0.0
+    X, T = (np.cosh, np.arccosh) if isinstance(end, FunnelEnd) else (np.exp, np.log)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = T(X(lo) + (X(hi) - X(lo)) * (f_lo / (f_lo - f_hi)))
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        while x.size:
+            f = s * eval_field(end, x) - c
+            right = (f < 0.0) == neg
+            lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+            newton = x - f / (s * end.field.profile_dt(x))
+            mid = 0.5 * (lo + hi)
+            done = (newton == x) | (f == 0.0) | ~((lo < mid) & (mid < hi))
+            if done.all():
+                break
+            x = np.where(done, x, np.where((lo < newton) & (newton < hi), newton, mid))
+    edges = np.unique(np.concatenate([t[[0, -1]], x]))
+    lo, hi = edges[:-1], edges[1:]
+    inside = lo + np.multiply.outer([1e-3, 0.5, 0.999], hi - lo)
+    b = np.asarray(eval_field(end, inside))
+    band = np.searchsorted(cuts, np.abs(b))
+    agree = (np.sign(b) == np.sign(b[1])) & (band == band[1])
+    if not np.all(agree | (hi - lo <= 1e-9 * (1.0 + np.abs(hi)))):
+        raise RuntimeError("the band or sign of b~ changes inside a piece: "
+                           "a turning point of b~ was missed")
+    return edges, b[1]
 
 
 def _gauss(end, lo, hi, coef, bound, weight, quad_tol: float) -> float:
@@ -203,8 +193,7 @@ def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
     (times w: Gauss-Legendre, as also if rounding in a would not fit
     quad_tol), the others mu/2 times their area within max w |Delta a|/2.
     """
-    span = _span(end, mu)
-    t, b = _samples(end, span, _GRID)
+    t, b = span = _span(end, mu)
     if t.size == 0:
         return 0.0
     bmin = 0.0 if np.any(b[:-1] * b[1:] <= 0.0) else float(np.min(np.abs(b)))

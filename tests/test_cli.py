@@ -120,7 +120,7 @@ class TestDeterministicOutput:
         rc, out, err = run_main(capsys, "weyl", "--config", cusp_cfg,
                                 "--lambda", "100")
         assert (rc, err) == (0, "")
-        assert out == "49.52910321270545\n"
+        assert out == "49.529103212705444\n"
         assert float(out) == pytest.approx(cusp_linear_weyl(100.0), rel=1e-14)
 
     def test_count_end(self, capsys, cusp_cfg):
@@ -171,8 +171,8 @@ COMPARE_CSV = (
     "lambda,count,weyl,lower,upper,ratio,converged\r\n"
     "50,21,24.529779375321166,0.5421799386353703,83.31324407848444,"
     "0.8561022779164336,true\r\n"
-    "100,46,49.52910321270545,1.4259178489503508,164.80079733793022,"
-    "0.9287468784252054,true\r\n"
+    "100,46,49.529103212705444,1.4259178489503508,164.80079733793022,"
+    "0.9287468784252055,true\r\n"
 )
 
 
@@ -295,6 +295,11 @@ class TestErrorPaths:
         assert rc == 1
         assert "config.color" in err
 
+    def test_tiny_intensity(self, capsys):
+        # (mu - b) / (2b) overflows: mu/2, not an OverflowError traceback
+        rc, out, err = run_main(capsys, "nlandau", "--mu", "5", "--b", "1e-320")
+        assert (rc, out, err) == (0, "2.5\n", "")
+
     def test_numerics_validation(self, capsys, tmp_path):
         path = write_config(tmp_path / "num.json", [cusp_linear_end()],
                             delta=0.5)
@@ -357,10 +362,11 @@ class TestErrorPaths:
         assert "config.ends[0]" in err and "tau" in err
 
     def test_window_malformed(self, capsys):
-        rc, out, err = run_main(capsys, "morse-check", "--beta", "2.5",
-                                "--window", "1")
-        assert rc == 1
-        assert "--window" in err
+        for bad in ("1", "a,b"):
+            rc, out, err = run_main(capsys, "morse-check", "--beta", "2.5",
+                                    "--window", bad)
+            assert rc == 1
+            assert "--window" in err
         # refused by MorseOptions: no NaN grid, no numpy warning
         for bad in ("nan,4", "-inf,4"):
             rc, out, err = run_main(capsys, "morse-check", "--beta", "2.3",
@@ -368,23 +374,83 @@ class TestErrorPaths:
             assert rc == 1
             assert err.startswith("error: --window") and "finite" in err, bad
 
+    def test_grid(self, capsys):
+        rc, out, err = run_main(capsys, "morse-check", "--beta", "2.5",
+                                "--grid", "3")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: --window/--grid: need at least 16")
+        rc, out, err = run_main(capsys, "morse-check", "--beta", "2.5",
+                                "--grid", "2000")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["converged"] is True
+
     def test_lambdas_malformed(self, capsys, cusp_cfg):
-        rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,
-                                "--lambdas", "abc")
-        assert rc == 1
-        assert "--lambdas" in err
+        for bad in ("abc", ","):
+            rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,
+                                    "--lambdas", bad)
+            assert rc == 1
+            assert "--lambdas" in err
 
     def test_lambda_geom_malformed(self, capsys, cusp_cfg):
-        for bad in ("50,2", "50,-1,3", "0,2,3", "50,2,0"):
+        # the last two: a NaN start, and 10^399 past the float range
+        for bad in ("50,2", "50,-1,3", "0,2,3", "50,2,0", "a,2,3", "nan,2,3",
+                    "1,10,400"):
             rc, out, err = run_main(capsys, "fit", "--config", cusp_cfg,
                                     f"--lambda-geom={bad}")
-            assert rc == 1
-            assert "--lambda-geom" in err
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: --lambda-geom"), bad
 
     def test_unknown_subcommand(self, capsys):
         rc, out, err = run_main(capsys, "frobnicate")
         assert rc == 1
         assert err.startswith("error:")
+
+
+def _end(**changes):
+    """cusp_linear_end with keys replaced, or dropped where the value is None."""
+    end = cusp_linear_end(**changes)
+    return {k: v for k, v in end.items() if v is not None}
+
+
+def _field(**changes):
+    return _end(field={**cusp_linear_end()["field"], **changes})
+
+
+# (config, the field path and reason the error names)
+REFUSED_CONFIGS = {
+    "missing-field": ({"ends": [_end(t0=None)]},
+                      "config.ends[0].t0: missing required field"),
+    "string-number": ({"ends": [_end(L="1")]},
+                      "config.ends[0].L: expected a number, got '1'"),
+    "bool-number": ({"ends": [_end(xi=True)]},
+                    "config.ends[0].xi: expected a number, got True"),
+    "float-version": ({"schema_version": 1.0},
+                      "config.schema_version: expected an integer, got 1.0"),
+    "end-not-object": ({"ends": [[0.0, 1.0]]},
+                       "config.ends[0]: each end must be an object"),
+    "numerics-not-object": ({"numerics": [1e-6]},
+                            "config.numerics: must be an object"),
+    "unknown-type": ({"ends": [_end(type="horn")]},
+                     "config.ends[0].type: must be 'funnel' or 'cusp'"),
+    "empty-coeffs": ({"ends": [_field(coeffs=[])]},
+                     "config.ends[0].field.coeffs: must be nonempty"),
+    "string-coeff": ({"ends": [_field(coeffs=[0.0, "1"])]},
+                     "config.ends[0].field.coeffs[1]: expected a number"),
+    "no-ends": ({"ends": []}, "config.ends: need at least one end"),
+}
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("name", sorted(REFUSED_CONFIGS))
+    def test_config_field(self, capsys, tmp_path, name):
+        changes, message = REFUSED_CONFIGS[name]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "ends": [cusp_linear_end()], **changes}))
+        rc, out, err = run_main(capsys, "weyl", "--config", str(path),
+                                "--lambda", "10")
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {message}")
 
 
 class TestConfigRoundTrip:

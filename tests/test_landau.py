@@ -38,6 +38,14 @@ class TestLandauCount:
             k = sum(1 for j in range(1000) if (2 * j + 1) * b < mu)
             assert landau_count(mu, b) == pytest.approx(b * k, rel=1e-14)
 
+    def test_quotient_overflow(self):
+        # (mu - b) / (2b) overflows a float; the count b ceil of it is then
+        # (mu - b)/2 plus less than b, which is mu/2 to rounding
+        for mu, b in ((5.0, 5e-324), (5.0, 1e-320), (1e308, 1e-10)):
+            assert landau_count(mu, b) == 0.5 * mu
+        # 2b overflows but (mu - b) / b does not: one level, below mu
+        assert landau_count(1.7e308, 1e308) == 1e308
+
     def test_returns_float(self):
         assert isinstance(landau_count(5.0, 1.0), float)
 

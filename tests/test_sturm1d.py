@@ -653,6 +653,32 @@ class TestModeCounts:
         c2s = [0.0] + [1.0 / h ** 4] * (n - 1)
         assert got.tolist() == [full_sweep(x, c2s) for x in alphas]
 
+    @pytest.mark.parametrize("m", [sturm1d._NARROW, 40])
+    def test_subnormal_w_rows_are_cut(self, monkeypatch, m):
+        # far out on a funnel, as for b~ = cosh t on (350, 355.3): the gauge
+        # nears -e^{2t}/8 and w = 4 e^{-2t} turns subnormal past t = 354.9,
+        # where (lam - q)/w overflows though every (ell - a)^2 w does too;
+        # those rows are dominant for every mode, so the columns stop early
+        t_lo, t_hi, n = 350.0, 355.3, 2 * sturm1d._COEFF_ROWS
+
+        def coeffs(t):
+            return (-np.exp(2.0 * t - math.log(8.0)),
+                    np.exp(math.log(4.0) - 2.0 * t), 0.25 + 0.0 * t)
+
+        h = (t_hi - t_lo) / (n + 1)
+        w = coeffs(t_lo + h * np.arange(1, n + 1))[1]
+        first_subnormal = int(np.argmax(w < np.finfo(float).tiny))
+        assert 0 < first_subnormal < n - 100
+        monkeypatch.setattr(sturm1d, "_NARROW", 0 if m > 16 else 10**9)
+        ells = np.linspace(-9.0, 9.0, m)
+        lock, calls = record_sweeps(monkeypatch, m)
+        got = grid_counts(coeffs, t_lo, t_hi, n, ells, 300.0)
+        scalar = np.reshape(calls, (-1, m)).sum(axis=0) if calls else 0
+        assert max(np.add(lock, scalar)) < first_subnormal
+        alphas, inv_h2 = mode_alphas(coeffs, t_lo, t_hi, n, ells, [300.0] * m)
+        c2s = [0.0] + [inv_h2 * inv_h2] * (n - 1)
+        assert got.tolist() == [full_sweep(x, c2s) for x in alphas]
+
     def test_harmonic_oscillator(self):
         # w = 0, q = t^2: the levels 2k + 1 of the full line, which the
         # walls at -8 and 8 move far less than their distance to lambda

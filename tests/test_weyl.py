@@ -92,7 +92,8 @@ class TestWeylIntegral:
 
     def test_turning_point_inside_one_sample_cell(self):
         # b~ = c (y - 2)^2 + 5 stays below mu only for |t - ln 2| < 7e-5,
-        # inside one cell of the first sample grid; with G the antiderivative
+        # a sliver at the shared end of the two cells on which b~ is
+        # monotone, split at its turning point y = 2; with G the antiderivative
         # of b~ e^{-t} in y, the integral is sum_k G(2 + r_k) - G(2 - r_k)
         # over the levels nu_k > 5, r_k = sqrt((nu_k - 5)/c)
         mpmath = pytest.importorskip("mpmath")
@@ -192,19 +193,36 @@ class TestOmega:
             omega(fun, mu) + omega(cusp, mu), rel=1e-12)
 
     def test_few_field_evaluations(self, monkeypatch):
-        # one evaluation on the samples, a few Newton rounds for every
-        # crossing at once, one to check the pieces
+        # b~ is linear in cosh t or e^t, so the chord there lands on the
+        # crossing: one evaluation on the cell ends t0 and t_end, one Newton
+        # round that moves nothing, three points inside each of the two pieces
+        sizes, evaluate = [], weyl.eval_field
+
+        def counted(end, t):
+            sizes.append(np.size(t))
+            return evaluate(end, t)
+        monkeypatch.setattr(weyl, "eval_field", counted)
+        for end in (make_funnel([0.0, 1.0]), make_cusp([0.0, 1.0])):
+            for mu in (10.0, 1000.0):
+                sizes.clear()
+                omega(end, mu)
+                assert sizes == [2, 1, 6]
+
+    def test_missed_turning_point_is_an_error(self, monkeypatch):
+        # b~ = (cosh t - 3)^2 falls below mu = 2 inside the one cell left
+        # when its turning point cosh t = 3 is hidden from the cell split;
+        # the piece check refuses the result at once, after the evaluation
+        # on the cell ends and its own
         calls, evaluate = [], weyl.eval_field
 
         def counted(end, t):
             calls.append(end)
             return evaluate(end, t)
         monkeypatch.setattr(weyl, "eval_field", counted)
-        for end in (make_funnel([0.0, 1.0]), make_cusp([0.0, 1.0])):
-            for mu in (10.0, 1000.0):
-                calls.clear()
-                omega(end, mu)
-                assert 2 < len(calls) <= 10
+        monkeypatch.setattr(weyl, "_radii", lambda end, *polys: np.empty(0))
+        with pytest.raises(RuntimeError, match="turning point of b~ was missed"):
+            omega(make_funnel([9.0, -6.0, 1.0]), 2.0)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("c, rel", [(1e8, 1e-9), (1e10, 1e-7)])
     def test_cancelling_field(self, c, rel):
