@@ -219,13 +219,23 @@ def _parse_lambdas(args) -> list[float]:
         raise ConfigError(f"--lambda-geom: {exc}") from exc
     if not (0.0 < start < math.inf and 0.0 < factor < math.inf and count >= 1):
         raise ConfigError("--lambda-geom: start, factor must be finite, > 0; count >= 1")
-    try:
-        vals = [start * factor ** i for i in range(count)]
-    except OverflowError:
-        vals = [math.inf]
+    vals = [_geom_term(start, factor, i) for i in range(count)]
     if math.inf in vals:
         raise ConfigError(f"--lambda-geom: {start} * {factor}^{count - 1} overflows")
     return vals
+
+
+def _geom_term(start: float, factor: float, i: int) -> float:
+    """start * factor^i: as written where factor^i is a normal float, else
+    from two halves of the power, each term between start and the value."""
+    try:
+        power = factor ** i
+    except OverflowError:
+        power = math.inf
+    if i <= 1 or sys.float_info.min <= power <= sys.float_info.max:
+        return start * power
+    half = i // 2
+    return _geom_term(_geom_term(start, factor, half), factor, i - half)
 
 
 def _pick_end(cfg: SurfaceConfig, index: int):

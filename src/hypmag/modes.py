@@ -69,10 +69,11 @@ class CountResult:
 # the first shared grid has _POINTS_PER_WAVELENGTH points per shortest
 # local wavelength 2 pi / sqrt(lambda), and at least _N0_MIN points
 _N0_MIN = 48
-# 72 makes delta_h about 0.0013 lambda on the first grid: only modes with
-# an eigenvalue that close above lambda are counted again (1 of 159 for
-# the cusp [0, 1] at lambda 6400); the mode window is read off it too
-_POINTS_PER_WAVELENGTH = 72.0
+# 36 makes delta_h about 0.005 lambda on the first grid: only modes with
+# an eigenvalue that close above lambda are counted again (17 of 159 for
+# the cusp [0, 1] at lambda 6400, 6 of them once more; 2 of 154 for cosh^2
+# at lambda 50); the mode window is read off it too
+_POINTS_PER_WAVELENGTH = 36.0
 
 
 # a window of more than _MAX_MODES modes is not swept, and a mode still

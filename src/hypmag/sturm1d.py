@@ -9,9 +9,11 @@ eigenvalues come from bisection on that count between the Gershgorin
 bounds, so they inherit its robustness.
 
 count_below sweeps one operator with a scalar pivot recurrence on Python
-floats (about 0.1 us per row swept).  mode_counts sweeps a family of
-operators (ell - a)^2 w + q on one grid in numpy lockstep (1.5 to 4 us
-per row) while more than _NARROW modes are in play, then on that recurrence.
+floats: 50 to 70 ns per row swept where every row has one coupling c2, as
+on every discretize grid and mode family, and about 0.1 us with a list of
+couplings.  mode_counts sweeps a family of operators (ell - a)^2 w + q on
+one grid in numpy lockstep (1.5 to 4 us per row) while more than _NARROW
+modes are in play, then on that recurrence.
 
 The sweeps stop once the count is final, which on a classically
 forbidden tail skips most of the grid.  With couplings e_i = sqrt(c2_{i+1})
@@ -67,7 +69,7 @@ class TridiagonalOperator:
         with np.errstate(over="ignore"):
             if not ((diag > -np.inf).all() and np.isfinite(off * off).all()):
                 raise ValueError("diag must be finite or +inf, and off^2 finite")
-        # read-only views: _tail_floors caches a summary of them
+        # read-only views: _coupling and _tail_floors cache summaries of them
         diag.flags.writeable = off.flags.writeable = False
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "off", off)
@@ -84,6 +86,15 @@ class TridiagonalOperator:
             radius[:-1] += np.abs(self.off)
             radius[1:] += np.abs(self.off)
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
+
+    @cached_property
+    def _coupling(self) -> float | None:
+        """The squared coupling of every row to the one before, when all are
+        one float (0.0 for n = 1), else None."""
+        c2 = self.off * self.off
+        if not (c2 == c2[:1]).all():
+            return None
+        return float(c2[0]) if c2.size else 0.0
 
     @cached_property
     def _tail_floors(self) -> list[float]:
@@ -132,56 +143,86 @@ def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
 def count_below(T: TridiagonalOperator, lam: float) -> int:
     """Number of eigenvalues of T strictly below lam (Sylvester inertia).
 
-    About 0.1 us per row swept: the sweep stops in the dominant tail that
-    a bisection in T._tail_floors finds (see the module docstring).
+    50 to 70 ns per row swept where every coupling is one float (every
+    discretize grid), about 0.1 us otherwise; the sweep stops in the
+    dominant tail that a bisection in T._tail_floors finds (see the module
+    docstring).
     """
     lam = float(lam)
     tail = _CUT_ROWS * bisect_left(T._tail_floors, lam)
     count, d = 0, math.inf
     for lo in range(0, T.n, _COEFF_ROWS):
         hi = min(T.n, lo + _COEFF_ROWS)
-        c = T.off[lo - 1:hi - 1] if lo else np.concatenate(([0.0], T.off[:hi - 1]))
-        k, d, final = _cut_sweep(T.diag[lo:hi] - lam, (c * c).tolist(), d, tail - lo)
+        alpha, c2 = T.diag[lo:hi] - lam, T._coupling
+        if c2 is None:
+            c = T.off[lo - 1:hi - 1] if lo else np.concatenate(([0.0], T.off[:hi - 1]))
+            c2 = (c * c).tolist()
+        elif lo == 0:
+            _first_row(alpha)
+        k, d, final = _cut_sweep(alpha.tolist(), c2, d, tail - lo)
         count += k
         if final:
             break
     return count
 
 
-def _pivot_sweep(alpha, c2s, d):
+def _first_row(alpha):
+    """Set zeros in alpha's first row, row 0 of the operator, to _EPS: the
+    nudge of a zero pivot with no coupling (c2 = 0), where a float c2 for
+    every row, or the lockstep's hand-over to it, would nudge by c2 + 1."""
+    first = alpha[:1]
+    first[first == 0.0] = _EPS
+
+
+def _pivot_sweep(alpha, c2, d):
     """(negative pivots, last pivot) of the LDL^T recurrence over some rows.
 
-    alpha holds diagonal entries minus lambda, c2s the squared couplings
-    to the row before, whose pivot is d (d = inf and c2 = 0 before the
-    first row).  Zero pivots are nudged positive: an eigenvalue exactly
-    at lambda must not enter the strict count.
+    alpha is a list of diagonal entries minus lambda, c2 the squared
+    coupling of each row to the row before: one float for every row, or a
+    list of one per row.  The pivot of the row before is d (d = inf before
+    the first row, whose c2 is 0 in a list; with a float, _first_row has
+    set its alpha).  Zero pivots are nudged positive: an eigenvalue
+    exactly at lambda must not enter the strict count.
     """
     count = 0
-    for a, c2 in zip(alpha, c2s):
-        d = a - c2 / d
-        if d < 0.0:
-            count += 1
-        elif d == 0.0:
-            d = _EPS * (abs(a) + c2 + 1.0)
+    if isinstance(c2, float):
+        for a in alpha:
+            d = a - c2 / d
+            if d <= 0.0:
+                if d < 0.0:
+                    count += 1
+                else:
+                    d = _EPS * (abs(a) + c2 + 1.0)
+        return count, d
+    for a, c2i in zip(alpha, c2):
+        d = a - c2i / d
+        if d <= 0.0:
+            if d < 0.0:
+                count += 1
+            else:
+                d = _EPS * (abs(a) + c2i + 1.0)
     return count, d
 
 
-def _cut_sweep(alpha, c2s, d, tail):
+def _cut_sweep(alpha, c2, d, tail):
     """(negative pivots, last pivot, stopped) of _pivot_sweep over some rows.
 
-    alpha is an array, c2s a list.  The rows from index tail on, and all
-    later rows of the operator, are dominant (module docstring); there the
-    pivot is tested every _CUT_ROWS rows, and the sweep stops at the first
-    row r with d >= (1 + s) e_{r-1}.  An infinite alpha (a cusp wall) is
-    dominant: its pivot is inf, and the next quotient 0.
+    alpha and c2 are as for _pivot_sweep.  The rows from index tail on,
+    and all later rows of the operator, are dominant (module docstring);
+    there the pivot is tested every _CUT_ROWS rows, and the sweep stops at
+    the first row r with d >= (1 + s) e_{r-1}.  An infinite alpha (a cusp
+    wall) is dominant: its pivot is inf, and the next quotient 0.
     """
+    uniform = isinstance(c2, float)
     count, lo = 0, 0
-    for hi in range(max(tail, 0), alpha.size, _CUT_ROWS):
-        k, d = _pivot_sweep(alpha[lo:hi].tolist(), c2s[lo:hi], d)
+    for hi in range(max(tail, 0), len(alpha), _CUT_ROWS):
+        k, d = _pivot_sweep(alpha[lo:hi], c2 if uniform else c2[lo:hi], d)
         count, lo = count + k, hi
-        if d >= 0.0 and d * d >= (1.0 + _SLACK) ** 2 * c2s[hi]:
+        if d >= 0.0 and d * d >= (1.0 + _SLACK) ** 2 * (c2 if uniform else c2[hi]):
             return count, d, True
-    k, d = _pivot_sweep(alpha[lo:].tolist(), c2s[lo:] if lo else c2s, d)
+    if lo:
+        alpha, c2 = alpha[lo:], c2 if uniform else c2[lo:]
+    k, d = _pivot_sweep(alpha, c2, d)
     return count + k, d, False
 
 
@@ -290,12 +331,12 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
             hi = (min(n, (r // _COEFF_ROWS + 1) * _COEFF_ROWS) if narrow
                   else min(n, r + max(1, _BLOCK_CELLS // (j1 - j0)), test))
             alpha = alphas(slice(r, hi), slice(j0, j1))
-            # squared couplings to the row before; none at row 0
-            c2s = [c2 * (r > 0)] + [c2] * (hi - r - 1)
+            if r == 0:
+                _first_row(alpha)
             if narrow:
                 for j in j0 + np.flatnonzero(~final[j0:j1]):
                     k, prev[j], final[j] = _cut_sweep(
-                        alpha[:, j - j0], c2s, float(prev[j]), tail[j] - r)
+                        alpha[:, j - j0].tolist(), c2, float(prev[j]), tail[j] - r)
                     counts[j] += k
                 test = hi
             else:
@@ -306,7 +347,7 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
                 else:
                     for j in range(j0, j1):
                         k, prev[j] = _pivot_sweep(
-                            alpha[:, j - j0].tolist(), c2s, float(prev[j]))
+                            alpha[:, j - j0].tolist(), c2, float(prev[j]))
                         counts[j] += k
             r = hi
     out = np.empty_like(counts)

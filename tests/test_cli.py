@@ -1,5 +1,6 @@
 """Command-line interface: exact output bytes, exit codes, error paths."""
 
+import argparse
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import (cusp_linear_end, funnel_cosh_end, run_cli, run_main,
                       write_config)
-from hypmag.cli import ConfigError, load_config, parse_config
+from hypmag.cli import ConfigError, _parse_lambdas, load_config, parse_config
 
 TWO_FUNNELS = [
     {"type": "funnel", "tau": 1.0, "t0": 0.0, "xi": 0.0,
@@ -132,7 +133,7 @@ class TestDeterministicOutput:
         rc, out, err = run_main(capsys, "count-end", "--config", cusp_cfg,
                                 "--end", "0", "--lambda", "100", "--json")
         assert rc == 0
-        assert out == ('{"count":46,"lambda":100,"n":717,"t_hi":6.25,'
+        assert out == ('{"count":46,"lambda":100,"n":359,"t_hi":6.25,'
                        '"mode_range":[-6,6],"converged":true}\n')
 
     def test_hypcheck(self, capsys, cusp_cfg):
@@ -392,13 +393,29 @@ class TestErrorPaths:
             assert "--lambdas" in err
 
     def test_lambda_geom_malformed(self, capsys, cusp_cfg):
-        # the last two: a NaN start, and 10^399 past the float range
+        # the last three: a NaN start, and 10^399 past the float range, from
+        # a start of 1 and of 1e-300
         for bad in ("50,2", "50,-1,3", "0,2,3", "50,2,0", "a,2,3", "nan,2,3",
-                    "1,10,400"):
+                    "1,10,400", "1e-300,10,700"):
             rc, out, err = run_main(capsys, "fit", "--config", cusp_cfg,
                                     f"--lambda-geom={bad}")
             assert (rc, out) == (1, "")
             assert err.startswith("error: --lambda-geom"), bad
+
+    @pytest.mark.parametrize("geom, start, factor, top", [
+        ("1e-300,10,400", 1e-300, 10.0, 1e99),
+        ("1e300,0.1,400", 1e300, 0.1, 1e-99)])
+    def test_lambda_geom_past_the_power_range(self, geom, start, factor, top):
+        # factor^i leaves the normal floats from i = 308 or 309 on, yet every
+        # value is a float; where factor^i is one, a value is start * factor^i
+        vals = _parse_lambdas(argparse.Namespace(lambdas=None, lambda_geom=geom))
+        assert len(vals) == 400
+        assert vals[:308] == [start * factor ** i for i in range(308)]
+        for i, x in enumerate(vals):
+            assert x == pytest.approx(
+                10.0 ** (math.log10(start) + math.log10(factor) * i),
+                rel=1e-12, abs=0.0)
+        assert vals[-1] == pytest.approx(top, rel=1e-13, abs=0.0)
 
     def test_unknown_subcommand(self, capsys):
         rc, out, err = run_main(capsys, "frobnicate")

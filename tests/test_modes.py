@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from conftest import (dense_lowest_eigenvalue, dense_mode_count,
                       make_cusp, make_funnel, richardson_mode_count)
 from hypmag import (BoundedFieldError, DomainError, count_end,
                     funnel_limit_potential, mode_potential, modes)
+from hypmag.model import gauge_function
 from hypmag.modes import mode_window
+from hypmag.sturm1d import mode_counts
 
 
 class TestModePotentials:
@@ -245,8 +248,15 @@ class TestScanEdgeCases:
         # leave an empty window and a silent, converged count of 0
         end = make_cusp([0.0, 1.0])
         assert count_end(end, 50.0, t_max=350.0).count == 21
-        with pytest.raises(DomainError, match="not finite at t=354.8"):
+        with pytest.raises(DomainError, match="not finite at t=") as info:
             count_end(end, 50.0, t_max=400.0)
+        # the first point of the first grid (the wall at 400, n from
+        # _POINTS_PER_WAVELENGTH at lambda 50) past ln(max float) / 2
+        n = int(400.0 * math.sqrt(50.0) * modes._POINTS_PER_WAVELENGTH
+                / (2.0 * math.pi)) + 1
+        t = 400.0 / (n + 1) * np.arange(n + 2)
+        first = float(t[t > math.log(sys.float_info.max) / 2.0][0])
+        assert float(str(info.value).rsplit("t=", 1)[1]) == first
         with pytest.raises(DomainError, match="not finite"):
             mode_potential(end, 0)(np.array([1.0, 400.0]))
 
@@ -398,7 +408,13 @@ class TestModeWindow:
         monkeypatch.setattr(modes, "_MAX_REFINEMENTS", 1)
         res = count_end(end, 1600.0)
         assert not res.converged
-        assert res.count == 777
+        # the counts at lambda on the first grid, the one reported
+        h = (res.t_hi - end.t0) / (res.n + 1)
+        t = end.t0 + h * np.arange(1, res.n + 1)
+        first = mode_counts(gauge_function(end, t), np.exp(2.0 * t) / end.L ** 2,
+                            np.full(t.size, 0.25), h, mode_window(end, 1600.0),
+                            1600.0)
+        assert res.count == first.sum() > 776
 
 
 # The count slots of the benchmark's funnel-scan and cusp-ladder workloads,

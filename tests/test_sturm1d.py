@@ -1,5 +1,6 @@
 """Inertia counting, batched mode counts and bisection eigenvalues."""
 
+import bisect
 import math
 import subprocess
 import sys
@@ -252,6 +253,101 @@ class TestDominantTailCut:
                     assert k == full_sweep(alpha.tolist(), c2s)
 
 
+def row_pivots(alpha, c2):
+    """Every pivot of _pivot_sweep over the list alpha from row 0, one row
+    at a time; c2 is one float or a list per row, as for _pivot_sweep."""
+    out, d = [], math.inf
+    for i, a in enumerate(alpha):
+        _, d = sturm1d._pivot_sweep([a], c2 if isinstance(c2, float)
+                                    else c2[i:i + 1], d)
+        out.append(d.hex())
+    return out
+
+
+def zero_first_pivot(n):
+    """A grid of step 1 whose first pivot at lam = 2 is exactly 0, and
+    whose second is negative only after the nudge to _EPS (c2 / _EPS beats
+    3e15 where c2 / (_EPS (c2 + 1)) does not): (V, t_lo, t_hi, n)."""
+    def V(t):
+        return np.where(np.round(t) == 2.0, 3e15, 0.0) + np.sin(t) ** 2 * (t > 2.5)
+    return V, 0.0, n + 1.0, n
+
+
+class TestUniformCoupling:
+    """An operator with one coupling runs the recurrence on one float c2;
+    its pivots, counts and cuts equal those of the list of couplings (0 at
+    row 0), bit for bit."""
+
+    @staticmethod
+    def cases():
+        # discretized wells at, one ulp off and a little off eigenvalues,
+        # the Toeplitz zero-pivot chain, and an exactly zero first pivot
+        rng = np.random.default_rng(3)
+        for n in (40, 700, 2100):
+            for V in (lambda t: t * t, lambda t: 1e4 * (t > 0.6) + 0.0 * t,
+                      funnel_limit_potential(2.3)):
+                T = discretize(V, -6.0, 3.0, n)
+                for ev in dense_eigenvalues(T.diag, T.off)[:3].tolist():
+                    for lam in (ev, np.nextafter(ev, -np.inf),
+                                np.nextafter(ev, np.inf), ev + rng.uniform(-1, 1)):
+                        yield T, float(lam)
+        for n in (5, 7, 51, 1025):
+            yield TridiagonalOperator(diag=np.full(n, 2.0), off=np.full(n - 1, -1.0),
+                                      t_lo=0.0, t_hi=1.0, h=1.0 / (n + 1)), 2.0
+        for n in (1, 2, 300, 1500):
+            yield discretize(*zero_first_pivot(n)), 2.0
+
+    def test_pivots_match_the_list_form(self):
+        for T, lam in self.cases():
+            alpha = T.diag - lam
+            listed = [0.0] + (T.off * T.off).tolist()
+            want = row_pivots(alpha.tolist(), listed)
+            sturm1d._first_row(alpha)
+            assert row_pivots(alpha.tolist(), T._coupling) == want
+            cut = sturm1d._CUT_ROWS * bisect.bisect_left(T._tail_floors, lam)
+            for tail in (0, cut, T.n):
+                got = sturm1d._cut_sweep(alpha.tolist(), T._coupling, math.inf, tail)
+                ref = sturm1d._cut_sweep((T.diag - lam).tolist(), listed,
+                                         math.inf, tail)
+                assert (got[0], got[1].hex(), got[2]) == (ref[0], ref[1].hex(), ref[2])
+            assert count_below(T, lam) == full_count_below(T, lam)
+
+    def test_zero_first_pivot_is_nudged_as_without_coupling(self):
+        # the float c2 nudges a zero pivot to _EPS (c2 + 1): at row 0,
+        # which has no coupling, that would make the next pivot positive
+        for n in (2, 300, 1500):
+            T = discretize(*zero_first_pivot(n))
+            assert T.diag[0] == 2.0 and T._coupling == 1.0
+            alpha = (T.diag - 2.0).tolist()
+            assert sturm1d._pivot_sweep(alpha[:2], 1.0, math.inf)[0] == 0
+            assert count_below(T, 2.0) == full_count_below(T, 2.0) >= 1
+            V = zero_first_pivot(n)[0]
+            for m in (1, sturm1d._NARROW, 20):
+                got = grid_counts(lambda t: (0.0 * t, 0.0 * t, V(t)),
+                                  0.0, n + 1.0, n, np.arange(m), 2.0)
+                assert got.tolist() == [full_count_below(T, 2.0)] * m
+
+    def test_uniform_operators_take_the_float_form(self, monkeypatch):
+        T = discretize(lambda t: t * t, -6.0, 3.0, 3000)
+        assert type(T._coupling) is float
+        assert T._coupling == (1.0 / (T.h * T.h)) ** 2
+        assert discretize(lambda t: t, 0.0, 1.0, 1)._coupling == 0.0
+        assert random_tridiagonal(np.random.default_rng(1))._coupling is None
+        seen, sweep = [], sturm1d._pivot_sweep
+
+        def recorded(alpha, c2, d):
+            seen.append(type(c2))
+            return sweep(alpha, c2, d)
+        monkeypatch.setattr(sturm1d, "_pivot_sweep", recorded)
+        count_below(T, 30.0)
+        mode_counts(*wavy_coeffs(np.linspace(0.1, 4.0, 400)), 0.01,
+                    np.arange(3.0), 20.0)
+        assert seen and set(seen) == {float}
+        seen.clear()
+        count_below(random_tridiagonal(np.random.default_rng(1)), 0.0)
+        assert seen and set(seen) == {list}
+
+
 class TestGershgorin:
     def test_contains_spectrum(self):
         rng = np.random.default_rng(7)
@@ -358,9 +454,9 @@ class TestLowestEigenvalues:
         swept, full = [0], [0]
         scalar, below = sturm1d._pivot_sweep, sturm1d.count_below
 
-        def counted(alpha, c2s, d):
+        def counted(alpha, c2, d):
             swept[0] += len(alpha)
-            return scalar(alpha, c2s, d)
+            return scalar(alpha, c2, d)
 
         def counted_below(T, lam):
             full[0] += T.n
@@ -482,13 +578,13 @@ def record_sweeps(monkeypatch, m):
             lock[j] += alpha.shape[0]
         return lockstep(alpha, d, c2)
 
-    def counted_cut(alpha, c2s, d, tail):
+    def counted_cut(alpha, c2, d, tail):
         calls.append(0)
-        return cut_sweep(alpha, c2s, d, tail)
+        return cut_sweep(alpha, c2, d, tail)
 
-    def counted_pivot(alpha, c2s, d):
+    def counted_pivot(alpha, c2, d):
         calls[-1] += len(alpha)
-        return pivot_sweep(alpha, c2s, d)
+        return pivot_sweep(alpha, c2, d)
     monkeypatch.setattr(sturm1d, "_lockstep", counted_lockstep)
     monkeypatch.setattr(sturm1d, "_cut_sweep", counted_cut)
     monkeypatch.setattr(sturm1d, "_pivot_sweep", counted_pivot)
