@@ -385,6 +385,10 @@ def _cmd_holonomy(args) -> int:
 def _cmd_hypcheck(args) -> int:
     import numpy as np
 
+    if not (0.0 < args.span < math.inf):
+        raise ConfigError(f"--span: must be finite and > 0, got {args.span}")
+    if args.grid < 1:
+        raise ConfigError(f"--grid: need at least 1 point, got {args.grid}")
     cfg = load_config(args.config)
     reports = []
     all_hold = True

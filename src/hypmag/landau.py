@@ -51,13 +51,16 @@ class LandauLevelSet:
     levels: tuple[float, ...]
 
 
+_MAX_LEVELS = 1 << 20  # the Landau-level bound of weyl (_MAX_PIECES // 4)
+
+
 def landau_level_set(beta: float) -> LandauLevelSet:
-    """Levels (2j+1)|beta| - j(j+1) for j < |beta| - 1/2; empty iff |beta| <= 1/2."""
+    """Levels (2j+1)|beta| - j(j+1) for j < |beta| - 1/2; empty iff |beta| <= 1/2.
+
+    More than _MAX_LEVELS levels are refused."""
     beta = finite("beta", beta)
     a = abs(beta)
-    levels = []
-    j = 0
-    while j < a - 0.5:
-        levels.append((2 * j + 1) * a - j * (j + 1))
-        j += 1
-    return LandauLevelSet(beta=beta, levels=tuple(levels))
+    if a - 0.5 > _MAX_LEVELS:
+        raise ValueError(f"beta={beta} has more than {_MAX_LEVELS} Landau levels")
+    return LandauLevelSet(beta=beta, levels=tuple(
+        (2 * j + 1) * a - j * (j + 1) for j in range(max(0, math.ceil(a - 0.5)))))

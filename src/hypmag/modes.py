@@ -155,15 +155,20 @@ def _bound_intervals(end, t, coeffs, lam: float):
     return lo, hi
 
 
-def _window_chunks(end, t, coeffs, lam: float):
-    """_bound_intervals on the grid points t, in chunks.
+def _window(end, lam: float, t, coeffs) -> np.ndarray:
+    """Sorted modes that no certificate shows empty on the grid points t.
 
-    Each interval is widened to the hull of its own and its right
-    neighbour's, so that a mode uncovered only between two samples is
-    still kept.  With (lo, hi) comes (certificate, first, last) of ranges
+    _bound_intervals runs on chunks of t.  Each interval is widened to the
+    hull of its own and its right neighbour's: a guard on the samples, not
+    a bound between them, so a mode uncovered only between two samples can
+    be left out.  Each chunk gives (certificate, first, last) of ranges
     whose union is each certificate's [ceil lo, floor hi]: one per run of
     samples whose neighbouring ranges overlap or touch.
     """
+    # the hull of each certificate's uncovered modes, and those modes
+    ell_lo = np.full(_THETA.shape[0], np.inf)
+    ell_hi = np.full(_THETA.shape[0], -np.inf)
+    ranges = []
     for i in range(0, t.size - 1, _WINDOW_ROWS):
         rows = slice(i, min(i + _WINDOW_ROWS, t.size - 1) + 1)
         lo, hi = _bound_intervals(end, t[rows], [x[rows] for x in coeffs], lam)
@@ -174,20 +179,10 @@ def _window_chunks(end, t, coeffs, lam: float):
         new[:, 1:] = (~ok[:, :-1] | (first[:, 1:] > last[:, :-1] + 1.0)
                       | (last[:, 1:] < first[:, :-1] - 1.0))
         at = np.flatnonzero(new[ok])
-        yield lo, hi, (np.nonzero(ok)[0][at], np.minimum.reduceat(first[ok], at),
-                       np.maximum.reduceat(last[ok], at))
-
-
-def _window(end, lam: float, t, coeffs) -> np.ndarray:
-    """Sorted modes that no certificate shows empty on the grid points t."""
-    # the hull of each certificate's uncovered modes, and those modes
-    ell_lo = np.full(_THETA.shape[0], np.inf)
-    ell_hi = np.full(_THETA.shape[0], -np.inf)
-    ranges = []
-    for lo, hi, runs in _window_chunks(end, t, coeffs, lam):
+        ranges.append((np.nonzero(ok)[0][at], np.minimum.reduceat(first[ok], at),
+                       np.maximum.reduceat(last[ok], at)))
         ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
         ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
-        ranges.append(runs)
     lo, hi = float(np.max(ell_lo)), float(np.min(ell_hi))
     # a certificate that covers every mode on every sample leaves its
     # hull empty (lo = +inf, hi = -inf): then no mode is uncovered

@@ -10,8 +10,8 @@ bounds, so they inherit its robustness.
 
 count_below sweeps one operator with a scalar pivot recurrence on Python
 floats: 50 to 70 ns per row swept where every row has one coupling c2, as
-on every discretize grid and mode family, and about 0.1 us with a list of
-couplings.  mode_counts sweeps a family of operators (ell - a)^2 w + q on
+on every discretize grid and mode family, and about 0.1 us with a coupling
+per row.  mode_counts sweeps a family of operators (ell - a)^2 w + q on
 one grid in numpy lockstep (1.5 to 4 us per row) while more than _NARROW
 modes are in play, then on that recurrence.
 
@@ -51,13 +51,10 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Symmetric tridiagonal matrix plus the grid it came from."""
+    """Symmetric tridiagonal matrix: diag finite or +inf, off^2 finite."""
 
     diag: np.ndarray
     off: np.ndarray
-    t_lo: float
-    t_hi: float
-    h: float
 
     def __post_init__(self):
         diag = np.ascontiguousarray(self.diag, dtype=float).view()
@@ -88,12 +85,12 @@ class TridiagonalOperator:
         return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
 
     @cached_property
-    def _coupling(self) -> float | None:
-        """The squared coupling of every row to the one before, when all are
-        one float (0.0 for n = 1), else None."""
+    def _coupling(self) -> float | np.ndarray:
+        """The squared coupling of every row to the one before: one float if
+        all are equal (0.0 for n = 1), else their array, 0.0 at row 0."""
         c2 = self.off * self.off
         if not (c2 == c2[:1]).all():
-            return None
+            return np.concatenate(([0.0], c2))
         return float(c2[0]) if c2.size else 0.0
 
     @cached_property
@@ -101,26 +98,23 @@ class TridiagonalOperator:
         """Entry b: every row from b _CUT_ROWS on is dominant for lam <= it.
 
         min diag - (1 + s) radius over those rows (radius from sqrt(off^2),
-        as the sweep sees the couplings), less 2 eps |.|
-        for the rounding of diag - lam; built a _COEFF_ROWS block at a time.
+        as the sweep sees the couplings), less 2 eps |.| for the rounding
+        of diag - lam.
         """
-        n, mins = self.n, []
-        for lo in range(0, n, _COEFF_ROWS):
-            hi = min(n, lo + _COEFF_ROWS)
-            k0, k1 = max(lo - 1, 0), min(hi, n - 1)  # couplings to rows lo - 1 .. hi
-            e = np.sqrt(np.pad(self.off[k0:k1] ** 2, (k0 + 1 - lo, hi - k1)))
-            floor = self.diag[lo:hi] - (1.0 + _SLACK) * (e[:-1] + e[1:])
-            mins.append(np.minimum.reduceat(floor, np.arange(0, hi - lo, _CUT_ROWS)))
-        f = np.minimum.accumulate(np.concatenate(mins)[::-1])[::-1]
+        e = np.sqrt(np.pad(self.off ** 2, 1))
+        floor = self.diag - (1.0 + _SLACK) * (e[:-1] + e[1:])
+        f = np.minimum.reduceat(floor, np.arange(0, self.n, _CUT_ROWS))
+        f = np.minimum.accumulate(f[::-1])[::-1]
         return (f * (1.0 - 2.0 * _EPS * np.sign(f))).tolist()
 
 
 def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
     """3-point Dirichlet discretization of -d^2/dt^2 + V on (t_lo, t_hi).
 
-    Uses n interior points with spacing h = (t_hi - t_lo) / (n + 1);
+    Uses n interior points t_i = t_lo + i h, h = (t_hi - t_lo) / (n + 1);
     diagonal 2/h^2 + V(t_i), off-diagonal -1/h^2.  V is called once on
-    the array of grid points; a scalar result is broadcast.
+    the array of grid points; a scalar result is broadcast.  The operator
+    keeps no grid: a caller that needs h or t_i computes them so.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
@@ -134,29 +128,28 @@ def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
         raise ValueError(
             f"potential is not finite at t={float(grid[i])!r} (grid index {i})")
     inv_h2 = 1.0 / (h * h)
-    diag = 2.0 * inv_h2 + vals
-    off = np.full(max(n - 1, 0), -inv_h2)
-    return TridiagonalOperator(diag=diag, off=off, t_lo=float(t_lo),
-                               t_hi=float(t_hi), h=float(h))
+    return TridiagonalOperator(diag=2.0 * inv_h2 + vals,
+                               off=np.full(n - 1, -inv_h2))
 
 
 def count_below(T: TridiagonalOperator, lam: float) -> int:
     """Number of eigenvalues of T strictly below lam (Sylvester inertia).
 
     50 to 70 ns per row swept where every coupling is one float (every
-    discretize grid), about 0.1 us otherwise; the sweep stops in the
-    dominant tail that a bisection in T._tail_floors finds (see the module
-    docstring).
+    discretize grid), about 0.1 us on blocks of T._coupling's array; the
+    sweep stops in the dominant tail that a bisection in T._tail_floors
+    finds (module docstring).  lam = inf counts every row, NaN is refused.
     """
     lam = float(lam)
+    if math.isnan(lam):
+        raise ValueError("lam must not be NaN")
     tail = _CUT_ROWS * bisect_left(T._tail_floors, lam)
     count, d = 0, math.inf
     for lo in range(0, T.n, _COEFF_ROWS):
         hi = min(T.n, lo + _COEFF_ROWS)
         alpha, c2 = T.diag[lo:hi] - lam, T._coupling
-        if c2 is None:
-            c = T.off[lo - 1:hi - 1] if lo else np.concatenate(([0.0], T.off[:hi - 1]))
-            c2 = (c * c).tolist()
+        if not isinstance(c2, float):
+            c2 = c2[lo:hi].tolist()
         elif lo == 0:
             _first_row(alpha)
         k, d, final = _cut_sweep(alpha.tolist(), c2, d, tail - lo)
@@ -226,7 +219,7 @@ def _cut_sweep(alpha, c2, d, tail):
     return count + k, d, False
 
 
-# grid rows per scalar sweep and per block of _tail_floors
+# grid rows per scalar sweep
 _COEFF_ROWS = 1024
 # relative slack of the dominance tests of _cut_sweep
 _SLACK = 1e-8
@@ -255,10 +248,11 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
     a, w and q hold the coefficients on the n interior points of a grid of
     step h; the operator of the mode ell is -d^2/dt^2 + (ell - a)^2 w + q
     there, with Dirichlet ends and the 3-point scheme, as in discretize;
-    lam is a scalar or per-mode thresholds broadcast to ells.  Each count
-    equals count_below on the mode's own operator at its lam up to the
-    rounding of its diagonal.  Past a, w and q it holds a few floats per
-    row while it finds the tails, then one lockstep block.
+    lam is a scalar or per-mode thresholds broadcast to ells, and no ell
+    or lam may be NaN.  Each count equals count_below on the mode's own
+    operator at its lam up to the rounding of its diagonal.  Past a, w and
+    q it holds a few floats per row while it finds the tails, then one
+    lockstep block.
 
     The modes run as columns sorted by ell; one suffix-hull pass over the
     rows finds their tails (module docstring) in O(n + modes log n).  The
@@ -277,6 +271,9 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
         raise ValueError(f"need a finite grid step h > 0, got {h}")
     ells = np.asarray(ells, dtype=float)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), ells.shape)
+    for name, x in (("ells", ells), ("lam", lam)):
+        if np.isnan(x).any():
+            raise ValueError(f"{name} must not be NaN")
     m = ells.size
     counts = np.zeros(m, dtype=np.int64)
     if m == 0:

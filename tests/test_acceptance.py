@@ -128,8 +128,7 @@ def test_criterion_5_oracle_equivalence(criterion):
         n = int(rng.integers(1, 201))
         diag = rng.uniform(-10.0, 10.0, n)
         off = rng.uniform(-5.0, 5.0, max(n - 1, 0))
-        T = TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
-                                h=1.0 / (n + 1))
+        T = TridiagonalOperator(diag=diag, off=off)
         thresholds = list(rng.uniform(-12.0, 12.0, 3))
         if n > 2 and i % 3 == 0:
             # straddle an eigenvalue by a margin far above LAPACK error

@@ -1,5 +1,6 @@
 """The public names of the package: each resolves, and removed ones stay gone."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import hypmag
 REMOVED = ("count_stable", "CountOptions", "ModePotential",
            "funnel_mode_potential", "cusp_mode_potential", "mode_range",
            "EndOptions")
+# the fields of the Sturm operator: its matrix and nothing else
+OPERATOR_FIELDS = ("diag", "off")
 
 
 def test_every_exported_name_resolves():
@@ -30,3 +33,8 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in hypmag.__all__
         assert not hasattr(hypmag, name), name
+
+
+def test_operator_is_its_matrix():
+    fields = dataclasses.fields(hypmag.TridiagonalOperator)
+    assert tuple(f.name for f in fields) == OPERATOR_FIELDS

@@ -385,6 +385,27 @@ class TestErrorPaths:
         assert (rc, err) == (0, "")
         assert json.loads(out)["converged"] is True
 
+    def test_hypcheck_span_and_grid(self, capsys, cusp_cfg):
+        # refused before numpy sees them: no warning, the flag named
+        for flag, bad in (("--span", "inf"), ("--span", "-inf"),
+                          ("--span", "nan"), ("--span", "0"), ("--span", "-1"),
+                          ("--grid", "-5"), ("--grid", "0")):
+            rc, out, err = run_main(capsys, "hypcheck", "--config", cusp_cfg,
+                                    f"{flag}={bad}")
+            assert (rc, out) == (1, "")
+            assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, bad
+        rc, out, err = run_main(capsys, "hypcheck", "--config", cusp_cfg,
+                                "--grid", "1")
+        assert (rc, err) == (0, "")
+
+    def test_sset_beta_past_the_level_cap(self):
+        # about 1e9 levels: refused at once, not built
+        proc = subprocess.run([sys.executable, "-m", "hypmag.cli", "sset",
+                               "--beta", "1e9"], capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: beta=1000000000.0 has more than")
+        assert b"Traceback" not in proc.stderr
+
     def test_lambdas_malformed(self, capsys, cusp_cfg):
         for bad in ("abc", ","):
             rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,

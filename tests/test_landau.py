@@ -101,3 +101,10 @@ class TestLevelSet:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             landau_level_set(math.inf)
+
+    def test_level_cap(self):
+        # 2^20 levels at most, the bound weyl states; past it, refused
+        assert len(landau_level_set(2.0**20 + 0.5).levels) == 2**20
+        for beta in (2e6, -2e6, 1e9):
+            with pytest.raises(ValueError, match="beta"):
+                landau_level_set(beta)

@@ -48,28 +48,24 @@ def tailed_operator(rng):
     diag = lam + radius * (1.0 + margin)
     well = int(rng.integers(0, n + 1))
     diag[:well] = rng.uniform(-6.0, 6.0, well) + lam
-    return TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
-                               h=1.0 / (n + 1)), lam
+    return TridiagonalOperator(diag=diag, off=off), lam
 
 
 def random_tridiagonal(rng):
     n = int(rng.integers(1, 201))
     diag = rng.uniform(-5.0, 5.0, n)
     off = rng.uniform(-3.0, 3.0, max(n - 1, 0))
-    return TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
-                               h=1.0 / (n + 1))
+    return TridiagonalOperator(diag=diag, off=off)
 
 
 class TestDiscretize:
     def test_structure(self):
         T = discretize(lambda t: t, 0.0, 1.0, 4)
         h = 0.2
-        assert T.h == pytest.approx(h)
         assert T.n == 4
         grid = 0.2 * np.arange(1, 5)
         assert np.allclose(T.diag, 2.0 / h**2 + grid)
         assert np.allclose(T.off, -1.0 / h**2)
-        assert T.t_lo == 0.0 and T.t_hi == 1.0
 
     def test_scalar_result_is_broadcast(self):
         calls = []
@@ -79,7 +75,8 @@ class TestDiscretize:
             return 1.5
         T = discretize(V, 0.0, 1.0, 8)
         assert calls == [(8,)]
-        assert np.array_equal(T.diag, np.full(8, 2.0 / T.h**2 + 1.5))
+        h = 1.0 / 9
+        assert np.array_equal(T.diag, np.full(8, 2.0 / h**2 + 1.5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,8 +95,7 @@ class TestDiscretize:
 
     def test_operator_shape_validation(self):
         with pytest.raises(ValueError):
-            TridiagonalOperator(diag=np.array([1.0, 2.0]), off=np.array([]),
-                                t_lo=0.0, t_hi=1.0, h=0.5)
+            TridiagonalOperator(diag=np.array([1.0, 2.0]), off=np.array([]))
 
 
 class TestCountBelow:
@@ -112,9 +108,7 @@ class TestCountBelow:
                 assert count_below(T, lam) == int(np.sum(evals < lam))
 
     def test_strict_at_exact_eigenvalue(self):
-        T = TridiagonalOperator(diag=np.array([1.0, 3.0]),
-                                off=np.array([0.0]),
-                                t_lo=0.0, t_hi=1.0, h=0.5)
+        T = TridiagonalOperator(diag=np.array([1.0, 3.0]), off=np.array([0.0]))
         assert count_below(T, 1.0) == 0
         assert count_below(T, 3.0) == 1
         assert count_below(T, 3.0 + 1e-9) == 2
@@ -129,9 +123,7 @@ class TestCountBelow:
         # (cos(pi/2) = 6.1e-17) can decide a threshold that sits exactly on
         # an eigenvalue, so LAPACK is consulted only just off it.
         for n in (5, 7, 51):
-            T = TridiagonalOperator(diag=np.full(n, 2.0),
-                                    off=np.full(n - 1, -1.0),
-                                    t_lo=0.0, t_hi=1.0, h=1.0 / (n + 1))
+            T = TridiagonalOperator(diag=np.full(n, 2.0), off=np.full(n - 1, -1.0))
             expected = sum(1 for j in range(1, n + 1) if 2 * j < n + 1)
             assert expected == (n - 1) // 2
             assert dense_count_below(T.diag, T.off, 2.0 - 1e-9) == expected
@@ -139,10 +131,16 @@ class TestCountBelow:
             assert count_below(T, 2.0) == expected
 
     def test_single_entry(self):
-        T = TridiagonalOperator(diag=np.array([4.0]), off=np.array([]),
-                                t_lo=0.0, t_hi=1.0, h=0.5)
+        T = TridiagonalOperator(diag=np.array([4.0]), off=np.array([]))
         assert count_below(T, 4.0) == 0
         assert count_below(T, 4.5) == 1
+
+    def test_infinite_and_nan_thresholds(self):
+        T = random_tridiagonal(np.random.default_rng(8))
+        assert count_below(T, math.inf) == T.n
+        assert count_below(T, -math.inf) == 0
+        with pytest.raises(ValueError, match="lam"):
+            count_below(T, math.nan)
 
 
 class TestDominantTailCut:
@@ -170,8 +168,7 @@ class TestDominantTailCut:
                                 np.nextafter(ev, np.inf), ev * (1 + 1e-12),
                                 ev + rng.uniform(-1.0, 1.0)):
                         for op in (T, TridiagonalOperator(
-                                diag=T.diag[::-1], off=T.off[::-1],
-                                t_lo=T.t_lo, t_hi=T.t_hi, h=T.h)):
+                                diag=T.diag[::-1], off=T.off[::-1])):
                             assert count_below(op, lam) == full_count_below(op, lam)
 
     def test_count_below_exact_eigenvalues_in_the_tail(self):
@@ -183,9 +180,29 @@ class TestDominantTailCut:
             off[n - 1] = 0.0
             diag[n + tail // 2] = 2.0
             off[n + tail // 2 - 1:n + tail // 2 + 1] = 0.0
-            T = TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
-                                    h=1.0)
+            T = TridiagonalOperator(diag=diag, off=off)
             assert count_below(T, 2.0) == full_count_below(T, 2.0) == (n - 1) // 2
+
+    def test_tail_floors_match_a_per_row_reference(self):
+        # floor per row, minimum per _CUT_ROWS rows, suffix minimum, less
+        # 2 eps |.|: equal as hex across every block boundary
+        rng = np.random.default_rng(31)
+        s, rows = sturm1d._SLACK, sturm1d._CUT_ROWS
+        for n in (1, 63, 64, 65, 1023, 1024, 1025, 2047, 2048, 2049):
+            diag = rng.uniform(-4.0, 4.0, n) + rng.choice([0.0, 10.0], n)
+            off = rng.uniform(-3.0, 3.0, n - 1)
+            off[rng.random(n - 1) < 0.1] = 0.0
+            diag[rng.integers(0, n, 3)] = np.inf
+            T = TridiagonalOperator(diag=diag, off=off)
+            e = [0.0] + [math.sqrt(c * c) for c in off.tolist()] + [0.0]
+            floors = [x - (1.0 + s) * (e[i] + e[i + 1])
+                      for i, x in enumerate(diag.tolist())]
+            want = [min(floors[b:b + rows]) for b in range(0, n, rows)]
+            for b in range(len(want) - 2, -1, -1):
+                want[b] = min(want[b], want[b + 1])
+            want = [f * (1.0 - 2.0 * sturm1d._EPS * ((f > 0) - (f < 0)))
+                    for f in want]
+            assert [f.hex() for f in T._tail_floors] == [f.hex() for f in want]
 
     def test_nonfinite_rows_never_cut(self):
         # infinite and huge diagonal entries anywhere (an overflowing cusp
@@ -197,8 +214,7 @@ class TestDominantTailCut:
             diag, off = T.diag.copy(), T.off.copy()
             where = rng.integers(0, diag.size, int(rng.integers(1, 4)))
             diag[where] = rng.choice([np.inf, 1e200], where.size)
-            T = TridiagonalOperator(diag=diag, off=off, t_lo=0.0, t_hi=1.0,
-                                    h=T.h)
+            T = TridiagonalOperator(diag=diag, off=off)
             assert count_below(T, lam) == full_count_below(T, lam)
             for name, value in (("diag", np.nan), ("diag", -np.inf),
                                 ("off", np.nan), ("off", np.inf),
@@ -207,14 +223,13 @@ class TestDominantTailCut:
                 if entries[name].size:
                     entries[name][rng.integers(0, entries[name].size)] = value
                     with pytest.raises(ValueError):
-                        TridiagonalOperator(**entries, t_lo=0.0, t_hi=1.0, h=T.h)
+                        TridiagonalOperator(**entries)
         n = 3000
         t = np.linspace(340.0, 360.0, n)
         with np.errstate(over="ignore"):
             diag = 2.0 + np.exp(2.0 * t) * np.where(t < 345.0, 0.0, 1.0)
         assert np.isinf(diag[-1])
-        T = TridiagonalOperator(diag=diag, off=np.full(n - 1, -1.0),
-                                t_lo=0.0, t_hi=1.0, h=1.0)
+        T = TridiagonalOperator(diag=diag, off=np.full(n - 1, -1.0))
         for lam in (0.5, 2.0, 3.9):
             assert count_below(T, lam) == full_count_below(T, lam)
 
@@ -292,8 +307,7 @@ class TestUniformCoupling:
                                 np.nextafter(ev, np.inf), ev + rng.uniform(-1, 1)):
                         yield T, float(lam)
         for n in (5, 7, 51, 1025):
-            yield TridiagonalOperator(diag=np.full(n, 2.0), off=np.full(n - 1, -1.0),
-                                      t_lo=0.0, t_hi=1.0, h=1.0 / (n + 1)), 2.0
+            yield TridiagonalOperator(diag=np.full(n, 2.0), off=np.full(n - 1, -1.0)), 2.0
         for n in (1, 2, 300, 1500):
             yield discretize(*zero_first_pivot(n)), 2.0
 
@@ -330,9 +344,10 @@ class TestUniformCoupling:
     def test_uniform_operators_take_the_float_form(self, monkeypatch):
         T = discretize(lambda t: t * t, -6.0, 3.0, 3000)
         assert type(T._coupling) is float
-        assert T._coupling == (1.0 / (T.h * T.h)) ** 2
+        h = 9.0 / 3001
+        assert T._coupling == (1.0 / (h * h)) ** 2
         assert discretize(lambda t: t, 0.0, 1.0, 1)._coupling == 0.0
-        assert random_tridiagonal(np.random.default_rng(1))._coupling is None
+        assert type(random_tridiagonal(np.random.default_rng(1))._coupling) is not float
         seen, sweep = [], sturm1d._pivot_sweep
 
         def recorded(alpha, c2, d):
@@ -385,9 +400,7 @@ class TestLowestEigenvalues:
             assert np.allclose(got, expected, atol=1e-8)
 
     def test_repeated_eigenvalues(self):
-        T = TridiagonalOperator(diag=np.array([1.0, 1.0]),
-                                off=np.array([0.0]),
-                                t_lo=0.0, t_hi=1.0, h=0.5)
+        T = TridiagonalOperator(diag=np.array([1.0, 1.0]), off=np.array([0.0]))
         got = lowest_eigenvalues(T, 2, tol=1e-10)
         assert got[0] == pytest.approx(1.0, abs=1e-9)
         assert got[1] == pytest.approx(1.0, abs=1e-9)
@@ -404,8 +417,7 @@ class TestLowestEigenvalues:
         rng = np.random.default_rng(3)
         cases = [(random_tridiagonal(rng), 1e-9) for _ in range(8)]
         cases.append((TridiagonalOperator(diag=np.array([1.0, 1.0]),
-                                          off=np.array([0.0]), t_lo=0.0,
-                                          t_hi=1.0, h=0.5), 1e-10))
+                                          off=np.array([0.0])), 1e-10))
         morse = discretize(funnel_limit_potential(2.3), -20.0, 4.0, 2000)
         assert count_below(morse, ess_bottom(2.3) - 0.05) == 2
         cases.append((morse, 1e-7))
@@ -807,3 +819,9 @@ class TestModeCounts:
         for h in (0.0, -0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="grid step"):
                 mode_counts(a, w, q, h, [0], 5.0)
+        for ells, lam in (([0.0, math.nan], 5.0), ([0.0, 1.0], [5.0, math.nan]),
+                          ([0.0], math.nan)):
+            name = "lam" if np.isnan(lam).any() else "ells"
+            with pytest.raises(ValueError, match=name):
+                mode_counts(a, w, q, 0.1, ells, lam)
+        assert mode_counts(a, w, q, 0.1, [0.0], [-math.inf]).tolist() == [0]
