@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .essential import (MorseOptions, cusp_is_integral, essential_spectrum,
                         holonomy, morse_check)
 from .landau import landau_count, landau_level_set
@@ -23,6 +25,8 @@ from .modes import count_end
 from .weyl import WeylOptions, fit_exponent, theorem1_bracket, weyl_integral
 
 SCHEMA_VERSION = 1
+# hypcheck refuses a --grid of more points
+_MAX_GRID = 1 << 20
 
 # config "type" -> (end class, scale field, config field kind, model kind)
 _END_TYPES = {
@@ -383,12 +387,10 @@ def _cmd_holonomy(args) -> int:
 
 
 def _cmd_hypcheck(args) -> int:
-    import numpy as np
-
     if not (0.0 < args.span < math.inf):
         raise ConfigError(f"--span: must be finite and > 0, got {args.span}")
-    if args.grid < 1:
-        raise ConfigError(f"--grid: need at least 1 point, got {args.grid}")
+    if not 1 <= args.grid <= _MAX_GRID:
+        raise ConfigError(f"--grid: need 1 to {_MAX_GRID} points, got {args.grid}")
     cfg = load_config(args.config)
     reports = []
     all_hold = True

@@ -87,13 +87,17 @@ class RadialField:
     def unbounded(self) -> bool:
         return self.degree >= 1
 
-    def profile(self, t):
-        """b~ evaluated at radial coordinate t (scalar or ndarray)."""
+    def _horner(self, coeffs, t):
+        """sum coeffs[i] x^i at x = cosh t (funnel) or e^t (cusp)."""
         x = np.cosh(t) if self.kind == FUNNEL_KIND else np.exp(t)
         acc = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
+
+    def profile(self, t):
+        """b~ evaluated at radial coordinate t (scalar or ndarray)."""
+        return self._horner(self.coeffs, t)
 
     def profile_dt(self, t):
         """d/dt of the profile.
@@ -106,12 +110,8 @@ class RadialField:
         dcoeffs = tuple(i * c for i, c in enumerate(self.coeffs))[1:]
         if not dcoeffs:
             return np.zeros_like(t)
-        x = np.cosh(t) if self.kind == FUNNEL_KIND else np.exp(t)
-        acc = np.zeros_like(t)
-        for c in reversed(dcoeffs):
-            acc = acc * x + c
         dx = np.sinh(t) if self.kind == FUNNEL_KIND else np.exp(t)
-        return acc * dx
+        return self._horner(dcoeffs, t) * dx
 
 
 @dataclass(frozen=True)
@@ -303,6 +303,7 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     evaluated on the supplied grid; the witness is the smallest C that
     works there (for the cusp the same C scales the bound and sits in
     the exponent, so the witness solves a scalar fixed-point problem).
+    A grid on which b~ or b~' overflows is a DomainError.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -312,10 +313,16 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     _check_domain(end, grid)
 
     h0 = end.field.unbounded
-    g = np.abs(end.field.profile_dt(grid)) / (np.abs(end.field.profile(grid)) + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b, db = end.field.profile(grid), end.field.profile_dt(grid)
+    bad = ~(np.isfinite(b) & np.isfinite(db))
+    if bad.any():
+        raise DomainError(
+            f"field profile or its derivative is not finite at t="
+            f"{float(grid[np.argmax(bad)])!r}")
+    g = np.abs(db) / (np.abs(b) + 1.0)
     if isinstance(end, FunnelEnd):
-        witness = float(np.max(g))
-        return GrowthReport(h0=h0, h1_or_h2=math.isfinite(witness), witness=witness)
+        return GrowthReport(h0=h0, h1_or_h2=True, witness=float(np.max(g)))
 
     # cusp: smallest C with g(t) <= C e^{C t} on the grid
     def excess(C: float) -> float:

@@ -29,8 +29,10 @@ bound (Avron, Herbst & Simon, Duke Math. J. 45, 1978)
 At each t the bound is a quadratic in ell - a(t), so the modes it leaves
 below lambda there form one interval.  A mode whose bound stays >= lambda
 on the whole interval, for one (theta, s), has no eigenvalue below
-lambda; the window is the set of modes no such pair certifies empty,
-read off a grid of the interval.
+lambda.  Read off the samples of a grid, each pair's uncovered modes lie
+in the hull of its intervals, and the window is the modes in every
+pair's hull: one interval.  Every mode outside it is certified empty by
+one pair on every sample.
 
 The sweep.  sturm1d.mode_counts counts every mode of the window at lambda
 and at lambda - delta_h in one LDL^T lockstep down a shared Dirichlet
@@ -155,52 +157,27 @@ def _bound_intervals(end, t, coeffs, lam: float):
     return lo, hi
 
 
-def _window(end, lam: float, t, coeffs) -> np.ndarray:
-    """Sorted modes that no certificate shows empty on the grid points t.
+def _window(end, lam: float, t, coeffs) -> tuple[int, int]:
+    """(base, top): the modes base..top that no certificate shows empty.
 
-    _bound_intervals runs on chunks of t.  Each interval is widened to the
-    hull of its own and its right neighbour's: a guard on the samples, not
-    a bound between them, so a mode uncovered only between two samples can
-    be left out.  Each chunk gives (certificate, first, last) of ranges
-    whose union is each certificate's [ceil lo, floor hi]: one per run of
-    samples whose neighbouring ranges overlap or touch.
+    _bound_intervals runs on chunks of t, and each chunk only moves each
+    certificate's hull (least lo, greatest hi) of its intervals.  The
+    window is the integers in the intersection of the hulls; top < base
+    when it is empty.
     """
-    # the hull of each certificate's uncovered modes, and those modes
     ell_lo = np.full(_THETA.shape[0], np.inf)
     ell_hi = np.full(_THETA.shape[0], -np.inf)
-    ranges = []
-    for i in range(0, t.size - 1, _WINDOW_ROWS):
-        rows = slice(i, min(i + _WINDOW_ROWS, t.size - 1) + 1)
+    for i in range(0, t.size, _WINDOW_ROWS):
+        rows = slice(i, i + _WINDOW_ROWS)
         lo, hi = _bound_intervals(end, t[rows], [x[rows] for x in coeffs], lam)
-        lo, hi = np.minimum(lo[:, :-1], lo[:, 1:]), np.maximum(hi[:, :-1], hi[:, 1:])
-        first, last = np.ceil(lo), np.floor(hi)
-        ok = last >= first
-        new = np.ones(ok.shape, dtype=bool)
-        new[:, 1:] = (~ok[:, :-1] | (first[:, 1:] > last[:, :-1] + 1.0)
-                      | (last[:, 1:] < first[:, :-1] - 1.0))
-        at = np.flatnonzero(new[ok])
-        ranges.append((np.nonzero(ok)[0][at], np.minimum.reduceat(first[ok], at),
-                       np.maximum.reduceat(last[ok], at)))
         ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
         ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
     lo, hi = float(np.max(ell_lo)), float(np.min(ell_hi))
     # a certificate that covers every mode on every sample leaves its
     # hull empty (lo = +inf, hi = -inf): then no mode is uncovered
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        return np.empty(0, dtype=np.int64)
-    base, top = math.ceil(lo), math.floor(hi)
-    if top < base:
-        return np.empty(0, dtype=np.int64)
-    # per certificate, a difference array over base..top + 1
-    cert, first, last = (np.concatenate(x) for x in zip(*ranges))
-    first = np.clip(first, base, top + 1).astype(np.int64) - base
-    last = np.clip(last, base - 1, top).astype(np.int64) - base
-    keep = last >= first
-    marks = np.zeros((_THETA.shape[0], top - base + 2), dtype=np.int32)
-    np.add.at(marks, (cert[keep], first[keep]), 1)
-    np.subtract.at(marks, (cert[keep], last[keep] + 1), 1)
-    np.cumsum(marks, axis=1, out=marks)
-    return base + np.nonzero(np.all(marks[:, :-1] > 0, axis=0))[0]
+        return 0, -1
+    return math.ceil(lo), math.floor(hi)
 
 
 def _grid(end, t_hi: float, n: int):
@@ -213,11 +190,11 @@ def _grid(end, t_hi: float, n: int):
 
 
 def _first_grid(end, lam, t_max):
-    """(lam, wall, n, _grid, window) of the first shared grid of an end.
+    """(lam, wall, n, _grid, _window) of the first shared grid of an end.
 
     The wall is t_max (finite, past t0) or the last crossing of the module
     docstring; n gives _POINTS_PER_WAVELENGTH points per shortest local
-    wavelength.  lam <= 1/4 leaves an empty window on no grid (wall t0).
+    wavelength.  lam <= 1/4 leaves the empty window (0, -1), no grid, wall t0.
     """
     lam, t0 = finite("lam", lam), float(end.t0)
     if not end.field.unbounded:
@@ -229,7 +206,7 @@ def _first_grid(end, lam, t_max):
         if not (math.isfinite(t_max) and t_max > t0):
             raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
     if lam <= 0.25:
-        return lam, t0, 0, None, np.empty(0, dtype=np.int64)
+        return lam, t0, 0, None, (0, -1)
     if t_max is None:
         # rounded out to t0 + 0.5 k + 0.25, the least k >= 1 with t0 + 0.5 k
         # past the crossing: this lattice keeps every grid, n and t_hi that
@@ -243,13 +220,15 @@ def _first_grid(end, lam, t_max):
 
 
 def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
-    """Modes count_end sweeps: those no magnetic lower bound certifies empty.
+    """Modes count_end sweeps: one interval that no magnetic lower bound
+    certifies empty, as a sorted int64 array.
 
-    Every mode outside the returned sorted array has, for some theta and
-    s, q + s theta W' + (1 - theta) W^2 >= lambda on every sample of
-    [t0, t_max] (see the module docstring), so no eigenvalue below lam.
+    Every mode outside it has, for some theta and s, q + s theta W' +
+    (1 - theta) W^2 >= lambda on every sample of [t0, t_max] (see the
+    module docstring), so no eigenvalue below lam.
     """
-    return _first_grid(end, lam, t_max)[-1]
+    base, top = _first_grid(end, lam, t_max)[-1]
+    return np.arange(base, top + 1, dtype=np.int64)
 
 
 def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
@@ -260,14 +239,16 @@ def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
     docstring says.  n is the number of interior points of the finest
     shared grid any mode of the window was counted on, and mode_range the
     smallest interval holding every mode with an eigenvalue below lam
-    (None when no mode contributes).  converged is False when a mode is
-    still undecided on the last of _MAX_REFINEMENTS grids, or when the
-    window held more than _MAX_MODES modes; the window is then not swept
-    and the count is 0.
+    (None when no mode contributes).  The modes swept are the interval
+    mode_window returns.  converged is False when a mode is still
+    undecided on the last of _MAX_REFINEMENTS grids, or when the window
+    held more than _MAX_MODES modes; the window is then not swept and the
+    count is 0.
     """
-    lam, t_max, n, grid, ells = _first_grid(end, lam, t_max)
-    if ells.size > _MAX_MODES:
+    lam, t_max, n, grid, (base, top) = _first_grid(end, lam, t_max)
+    if top - base + 1 > _MAX_MODES:
         return CountResult(count=0, lam=lam, n=n, t_hi=t_max, converged=False)
+    ells = np.arange(base, top + 1, dtype=np.int64)
     counts = np.zeros(ells.size, dtype=np.int64)
     active = np.arange(ells.size)
     for sweep in range(_MAX_REFINEMENTS):

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -389,7 +390,8 @@ class TestErrorPaths:
         # refused before numpy sees them: no warning, the flag named
         for flag, bad in (("--span", "inf"), ("--span", "-inf"),
                           ("--span", "nan"), ("--span", "0"), ("--span", "-1"),
-                          ("--grid", "-5"), ("--grid", "0")):
+                          ("--grid", "-5"), ("--grid", "0"),
+                          ("--grid", str((1 << 20) + 1)), ("--grid", "100000000")):
             rc, out, err = run_main(capsys, "hypcheck", "--config", cusp_cfg,
                                     f"{flag}={bad}")
             assert (rc, out) == (1, "")
@@ -397,6 +399,34 @@ class TestErrorPaths:
         rc, out, err = run_main(capsys, "hypcheck", "--config", cusp_cfg,
                                 "--grid", "1")
         assert (rc, err) == (0, "")
+
+    @pytest.mark.parametrize("end, span, first_bad", [
+        # the first of the 512 grid points past the overflow of e^t, of
+        # e^{2t} and of cosh^2 t
+        (cusp_linear_end(), 800.0, 710.7632093933463),
+        (cusp_linear_end(field={"kind": "y-poly", "coeffs": [0.0, 0.0, 1.0]}),
+         360.0, 355.0684931506849),
+        (funnel_cosh_end(field={"kind": "cosh-poly", "coeffs": [0.0, 0.0, 1.0]}),
+         360.0, 355.7729941291585),
+        (funnel_cosh_end(field={"kind": "cosh-poly", "coeffs": [0.0, 0.0, 1.0]}),
+         800.0, 355.38160469667315),
+    ])
+    def test_hypcheck_past_the_field_overflow(self, capsys, tmp_path, end,
+                                              span, first_bad):
+        # refused with the first such t named, one line, no numpy warning;
+        # a finite field on every grid point still prints valid JSON
+        cfg = write_config(tmp_path / "end.json", [end])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(capsys, "hypcheck", "--config", cfg,
+                                    "--span", str(span))
+            assert (rc, out) == (1, "")
+            assert err == ("error: field profile or its derivative is not "
+                           f"finite at t={first_bad!r}\n")
+            rc, out, err = run_main(capsys, "hypcheck", "--config", cfg,
+                                    "--span", "350")
+        assert (rc, err) == (0, "")
+        assert out.count("\n") == 1 and json.loads(out)["all_hold"] is True
 
     def test_sset_beta_past_the_level_cap(self):
         # about 1e9 levels: refused at once, not built

@@ -1,6 +1,8 @@
 """Field profiles, gauge functions, and end geometry."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +224,33 @@ class TestGrowthHypotheses:
         assert not rep.h0
         assert rep.h1_or_h2
         assert rep.witness == 0.0
+
+    def test_overflowing_field_is_refused(self):
+        # past the overflow of b~ or b~' the check has no verdict: the grid
+        # is refused, naming its first such point, and no warning leaks
+        cases = [(make_cusp([0.0, 1.0]), 800.0, math.log(sys.float_info.max)),
+                 (make_cusp([0.0, 0.0, 1.0]), 360.0,
+                  math.log(sys.float_info.max) / 2.0),
+                 (make_funnel([0.0, 0.0, 1.0]), 360.0, None),
+                 (make_funnel([0.0, 0.0, 1.0]), 800.0, None)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for end, span, reach in cases:
+                grid = np.linspace(0.0, span, 512)
+                with pytest.raises(DomainError, match="not finite at t=") as info:
+                    check_growth_hypotheses(end, grid)
+                bad = float(str(info.value).rsplit("t=", 1)[1])
+                assert bad in grid
+                # the grid point before it is still finite
+                prev = grid[grid < bad][-1]
+                assert np.isfinite([end.field.profile(prev),
+                                    end.field.profile_dt(prev)]).all()
+                if reach is not None:
+                    assert prev <= reach < bad
+            # b~ = y^2 on a span of 350 stays finite and holds, with C = 1
+            rep = check_growth_hypotheses(make_cusp([0.0, 0.0, 1.0]),
+                                          np.linspace(0.0, 350.0, 512))
+        assert rep.h1_or_h2 and rep.witness == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_validation(self):
         end = make_funnel([0.0, 1.0])

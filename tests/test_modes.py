@@ -10,9 +10,9 @@ import pytest
 
 from conftest import (dense_lowest_eigenvalue, dense_mode_count,
                       make_cusp, make_funnel, richardson_mode_count)
-from hypmag import (BoundedFieldError, DomainError, count_end,
+from hypmag import (BoundedFieldError, DomainError, FunnelEnd, count_end,
                     funnel_limit_potential, mode_potential, modes)
-from hypmag.model import gauge_function
+from hypmag.model import eval_field, gauge_function
 from hypmag.modes import mode_window
 from hypmag.sturm1d import mode_counts
 
@@ -368,7 +368,92 @@ WINDOW_ENDS = [
 ]
 
 
+# the window's certificates (theta, s), restated: theta = 0 is V_ell itself
+CERTIFICATES = [(0.0, 1.0)] + [(theta, s) for s in (1.0, -1.0)
+                               for theta in (0.3, 0.5, 0.7, 0.85, 0.95)]
+
+
+def uncovered_hulls(end, lam, t, ells):
+    """Per certificate, the least and greatest of the modes ells whose
+    bound q + s theta W' + (1 - theta) W^2 is below lam on some sample t,
+    evaluated mode by mode (None when there is none)."""
+    a, b = gauge_function(end, t), eval_field(end, t)
+    if isinstance(end, FunnelEnd):
+        sw = 1.0 / (end.tau * np.cosh(t))
+        dsw, q = -sw * np.tanh(t), 0.25 * (1.0 + 1.0 / np.cosh(t) ** 2)
+    else:
+        sw = dsw = np.exp(t) / end.L
+        q = 0.25
+    below = np.zeros((len(CERTIFICATES), ells.size), dtype=bool)
+    for k in range(0, ells.size, 1024):
+        x = ells[k:k + 1024, None] - a
+        dW, W2 = b + x * dsw, (x * sw) ** 2
+        for i, (theta, s) in enumerate(CERTIFICATES):
+            bound = q + s * theta * dW + (1.0 - theta) * W2
+            below[i, k:k + 1024] = (bound < lam).any(axis=1)
+    return [(int(ells[r][0]), int(ells[r][-1])) if r.any() else None
+            for r in below]
+
+
+# two ends where a certificate's uncovered modes on the first grid skip
+# a mode inside their hull, so the union of per-sample mode ranges missed
+# modes the intersection of hulls has: (end, lambda, wall)
+SKIPPING = [
+    (make_cusp((-1.629921902267137, -15.199156090083218, 0.7416208335835348),
+               L=0.4742509490989734, t0=-0.15074547690529827,
+               xi=1.9125968713856505), 6.450577173471747, None),
+    (make_funnel((4.096583343259139, 0.0931616405137753, 128.53627493921562,
+                  -66.10904489591229), tau=1.9695127844138167,
+                 t0=0.1409521049563145, xi=-2.5206592017779483),
+     49.88533072040391, 1.2888875726094393),
+]
+
+# a cusp whose b~ changes sign twice: at lambda 1.58 every certificate
+# leaves modes in -5..37 uncovered somewhere, and each of 0..4 is
+# certified empty by some certificate on every sample
+GAP_END = make_cusp((0.09159234645602998, 0.07636985925717828,
+                     0.077013914798289, -0.013941545573435578,
+                     9.565028855751425e-05), L=1.1070778211153047,
+                    t0=-0.4520541358728445, xi=-3.516793182325051)
+GAP_LAM = 1.576372294821722
+
+
 class TestModeWindow:
+    @pytest.mark.parametrize("end, lam, t_max", [
+        (end, lam, None) for end in WINDOW_ENDS + [
+            make_funnel([-3.0, 1.0], xi=0.2), make_cusp([-4.0, 1.0], xi=0.2)]
+        for lam in (20.0, 100.0)] + SKIPPING)
+    def test_window_against_a_mode_by_mode_reference(self, end, lam, t_max):
+        # on the first grid's samples the window is every mode from the
+        # greatest certificate's least uncovered mode to the least one's
+        # greatest: the intersection of the certificates' hulls
+        t = modes._first_grid(end, lam, t_max)[3][1]
+        window = mode_window(end, lam, t_max)
+        pad = window.size + 20
+        ells = np.arange(window[0] - pad, window[-1] + pad + 1)
+        hulls = uncovered_hulls(end, lam, t, ells)
+        least, greatest = max(h[0] for h in hulls), min(h[1] for h in hulls)
+        assert ells[0] < least <= greatest < ells[-1]
+        assert window.tolist() == list(range(least, greatest + 1))
+
+    def test_uncovered_modes_with_a_gap_are_one_interval(self):
+        # the window is contiguous, and the count is the oracle's over it
+        # and 20 modes to each side.  V_ell's own intervals of modes below
+        # lambda are narrow here and fall between integers on most
+        # samples: the window is the hull of the intervals, -5..37, not
+        # the -5..4 of the integer modes below lambda on the samples
+        window = mode_window(GAP_END, GAP_LAM)
+        assert window.tolist() == list(range(-5, 38))
+        t = modes._first_grid(GAP_END, GAP_LAM, None)[3][1]
+        ells = np.arange(-60, 90)
+        assert uncovered_hulls(GAP_END, GAP_LAM, t, ells)[0] == (-5, 4)
+        res = count_end(GAP_END, GAP_LAM)
+        oracle = sum(richardson_mode_count(mode_potential(GAP_END, ell),
+                                           GAP_END.t0, res.t_hi, 1000, GAP_LAM)
+                     for ell in range(-25, 58))
+        assert res.converged
+        assert res.count == oracle == 1
+
     @pytest.mark.parametrize("lam", [20.0, 100.0])
     @pytest.mark.parametrize("end", WINDOW_ENDS)
     def test_modes_outside_are_empty(self, end, lam):
