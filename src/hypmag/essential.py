@@ -157,7 +157,8 @@ def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
 
     Eigenvalues are extracted up to _MARGIN below the essential bottom
     1/4 + beta^2; a doubled window at the same mesh size decides
-    convergence.
+    convergence.  The ladder seeds the first window's bisections, and
+    their eigenvalues the doubled window's; a seed never sets a value.
     """
     opts = opts or MorseOptions()
     beta = float(beta)
@@ -169,19 +170,20 @@ def morse_check(beta: float, opts: MorseOptions | None = None) -> MorseReport:
     V = funnel_limit_potential(beta)
     threshold = ess_bottom(beta) - _MARGIN
 
-    def low_eigs(lo, hi, n):
+    def low_eigs(lo, hi, n, near):
         T = _reversed(discretize(V, lo, hi, n))
         k = count_below(T, threshold)
         if k == 0:
             return ()
-        return lowest_eigenvalues(T, k, tol=_EIG_TOL)
+        near = (list(near) + [threshold] * k)[:k]
+        return lowest_eigenvalues(T, k, tol=_EIG_TOL, near=near)
 
     h = (s_hi - s_lo) / (opts.n + 1)
-    eigs = low_eigs(s_lo, s_hi, opts.n)
+    eigs = low_eigs(s_lo, s_hi, opts.n, predicted)
     # doubled window, same mesh: shifts both walls outward
     width = s_hi - s_lo
     n2 = int(round(2.0 * width / h)) - 1
-    eigs2 = low_eigs(s_lo - 0.5 * width, s_hi + 0.5 * width, n2)
+    eigs2 = low_eigs(s_lo - 0.5 * width, s_hi + 0.5 * width, n2, eigs)
     converged = (len(eigs) == len(eigs2)
                  and all(abs(a - b) <= _WINDOW_TOL + 10.0 * _EIG_TOL
                          for a, b in zip(eigs, eigs2)))
@@ -227,7 +229,8 @@ def funnel_mode_limit_check(beta: float, rhos) -> LimitReport:
     t0 = 0.  In log coordinates the operator lives on s in (-oo, ln(2 rho)]
     with a Dirichlet wall at the right edge only; its potential tends to
     the Morse well, so the lowest eigenvalue tends to the bottom of the
-    ladder when nonempty, else to the essential bottom 1/4 + beta^2.
+    ladder when nonempty, else to the essential bottom 1/4 + beta^2.  That
+    limit seeds the bisection on the n grid, its value that on 2n + 1.
     """
     beta = float(beta)
     rhos = [finite("rho", r) for r in rhos]
@@ -242,9 +245,9 @@ def funnel_mode_limit_check(beta: float, rhos) -> LimitReport:
         s_lo = min(-40.0, s_max - 30.0)
         n = max(4000, int((s_max - s_lo) / 0.004))
         T = _reversed(discretize(pot, s_lo, s_max, n))
-        e0 = lowest_eigenvalues(T, 1, tol=1e-9)[0]
+        e0 = lowest_eigenvalues(T, 1, tol=1e-9, near=[limit])[0]
         T2 = _reversed(discretize(pot, s_lo, s_max, 2 * n + 1))
-        e0b = lowest_eigenvalues(T2, 1, tol=1e-9)[0]
+        e0b = lowest_eigenvalues(T2, 1, tol=1e-9, near=[e0])[0]
         # Richardson step for the O(h^2) scheme; 2n+1 points halve h exactly
         lowest.append(e0b + (e0b - e0) / 3.0)
     distances = tuple(abs(e - limit) for e in lowest)

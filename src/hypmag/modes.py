@@ -225,9 +225,12 @@ def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
 
     Every mode outside it has, for some theta and s, q + s theta W' +
     (1 - theta) W^2 >= lambda on every sample of [t0, t_max] (see the
-    module docstring), so no eigenvalue below lam.
+    module docstring), so no eigenvalue below lam.  A window of more than
+    _MAX_MODES modes, which count_end declines too, is refused.
     """
     base, top = _first_grid(end, lam, t_max)[-1]
+    if top - base + 1 > _MAX_MODES:
+        raise ValueError(f"the mode window holds {top - base + 1} modes")
     return np.arange(base, top + 1, dtype=np.int64)
 
 

@@ -6,7 +6,8 @@ eigenvalues below a threshold uses Sylvester inertia: the number of
 negative pivots of the LDL^T factorization of T - lambda equals the
 number of eigenvalues of T strictly below lambda.  Individual
 eigenvalues come from bisection on that count between the Gershgorin
-bounds, so they inherit its robustness.
+bounds, so they inherit its robustness; estimates of them only bracket
+them sooner and never change them, as the count is monotone.
 
 count_below sweeps one operator with a scalar pivot recurrence on Python
 floats: 50 to 70 ns per row swept where every row has one coupling c2, as
@@ -352,21 +353,30 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
     return out
 
 
-def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> list[float]:
+def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10, *,
+                       near=None) -> list[float]:
     """The k smallest eigenvalues by bisection on the inertia count.
 
     Multiple eigenvalues come out as repeated values agreeing to tol.
     Each is bisected from [glo - 1, ghi + 1] (Gershgorin bounds) until the
     bracket is narrower than tol or its midpoint rounds to an end.  As in
-    LAPACK xSTEBZ, every count narrows the brackets of all indices (the
-    count is monotone in IEEE arithmetic too: Demmel, Dhillon & Ren, ETNA
-    3, 1995).  Counts at glo + 2^i, until k eigenvalues lie below, spare
-    the descent from ghi, near 4/h^2 on a discretized grid.
+    LAPACK xSTEBZ, every count narrows the brackets of all indices, and a
+    midpoint whose side they know is not counted: the count is monotone in
+    IEEE arithmetic too (Demmel, Dhillon & Ren, ETNA 3, 1995), so the
+    values are those of plain bisection, and no point is counted twice.
+    near, one finite estimate g per index, brackets each from counts at
+    g -+ w, w = tol, 8 tol, ..., on a side still unknown, until the bracket
+    or w spans [glo - 1, ghi + 1]; without it, counts at glo + 2^i, until k
+    eigenvalues lie below, spare the descent from ghi, near 4/h^2.
     """
     if not (1 <= k <= T.n):
         raise ValueError(f"k must be in 1..{T.n}, got {k}")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
+    if near is not None:
+        near = [float(g) for g in near]
+        if len(near) != k or not all(map(math.isfinite, near)):
+            raise ValueError(f"near must hold k = {k} finite estimates")
     glo, ghi = T.gershgorin()
     # largest (smallest) points known to have < j (>= j) eigenvalues below
     under, over = [-math.inf] * (k + 1), [math.inf] * (k + 1)
@@ -376,9 +386,18 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> li
         over[1:c + 1] = [min(o, x) for o in over[1:c + 1]]
         under[c + 1:] = [max(u, x) for u in under[c + 1:]]
         return c
-    step = 1.0
-    while glo + step < ghi + 1.0 and count(glo + step) < k:
-        step *= 2.0
+    if near is None:
+        step = 1.0
+        while glo + step < ghi + 1.0 and count(glo + step) < k:
+            step *= 2.0
+    for j, g in enumerate(near or (), 1):
+        # windows g -+ w, w = tol, 8 tol, ... (no narrower than g's ulp)
+        w = max(tol, math.ulp(g)) / 8.0
+        while w < ghi - glo + 2.0 and (under[j] < g - w or over[j] > g + w):
+            w *= 8.0
+            for x in (g + w, g - w):
+                if under[j] < x < over[j]:
+                    count(x)
     out = []
     for j in range(1, k + 1):
         lo, hi = glo - 1.0, ghi + 1.0

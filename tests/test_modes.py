@@ -482,6 +482,15 @@ class TestModeWindow:
         assert res.count == 0
         assert res.mode_range is None
 
+    def test_mode_window_refuses_more_than_max_modes(self, monkeypatch):
+        end = make_funnel([0.0, 1.0])
+        width = mode_window(end, 50.0).size
+        monkeypatch.setattr(modes, "_MAX_MODES", 1000)
+        with pytest.raises(ValueError, match=f"holds {width} modes"):
+            mode_window(end, 50.0)
+        monkeypatch.setattr(modes, "_MAX_MODES", width)
+        assert mode_window(end, 50.0).size == width
+
     def test_unsettled_mode_is_not_converged(self, monkeypatch):
         # a mode whose counts at lambda and lambda - delta_h still differ
         # on the last grid leaves the result unconverged, and its count at

@@ -11,7 +11,7 @@ import pytest
 from conftest import dense_count_below, dense_eigenvalues
 from hypmag import (MorseOptions, TridiagonalOperator, count_below,
                     discretize, essential, lowest_eigenvalues, sturm1d)
-from hypmag.essential import funnel_limit_potential
+from hypmag.essential import _reversed, funnel_limit_potential
 from hypmag.landau import ess_bottom
 from hypmag.sturm1d import mode_counts
 
@@ -413,7 +413,8 @@ class TestLowestEigenvalues:
 
     def test_equals_plain_bisection(self):
         # shared counts only skip midpoints whose side is known, so the
-        # values are those of bisecting every index from the full bracket
+        # values are those of bisecting every index from the full bracket,
+        # whatever estimates seed the brackets
         rng = np.random.default_rng(3)
         cases = [(random_tridiagonal(rng), 1e-9) for _ in range(8)]
         cases.append((TridiagonalOperator(diag=np.array([1.0, 1.0]),
@@ -423,7 +424,35 @@ class TestLowestEigenvalues:
         cases.append((morse, 1e-7))
         for T, tol in cases:
             k = min(T.n, 5) if T is not morse else 2
-            assert lowest_eigenvalues(T, k, tol) == plain_bisection(T, k, tol)
+            plain = plain_bisection(T, k, tol)
+            assert lowest_eigenvalues(T, k, tol) == plain
+            glo, ghi = T.gershgorin()
+            exact = np.sort(dense_eigenvalues(T.diag, T.off))[:k].tolist()
+            for near in (exact, [e + 1e-3 for e in exact],
+                         [e - 1e3 for e in exact], [e + 1e3 for e in exact],
+                         exact[::-1], [glo - 5.0] * k, [ghi + 5.0] * k,
+                         [glo - 1e300, ghi + 1e300] * k):
+                assert lowest_eigenvalues(T, k, tol, near=near[:k]) == plain
+
+    def test_self_checks_equal_plain_bisection(self, monkeypatch):
+        # the self-checks seed every bisection with an estimate (the
+        # ladder, the first window, the coarser grid); each eigenvalue they
+        # compute is the plain bisection's on the same operator
+        seen = []
+
+        def recorded(T, k, tol, **kw):
+            out = lowest_eigenvalues(T, k, tol, **kw)
+            seen.append((T, k, tol, out))
+            return out
+        monkeypatch.setattr(essential, "lowest_eigenvalues", recorded)
+        for beta in (0.4, 0.7, 2.3, 3.9, 5.2, -2.3):
+            essential.morse_check(beta, MorseOptions(n=2000))
+        morse_calls = len(seen)
+        for beta in (0.4, 2.6):
+            essential.funnel_mode_limit_check(beta, [6.0])
+        assert morse_calls >= 6 and len(seen) == morse_calls + 4
+        for T, k, tol, out in seen:
+            assert out == plain_bisection(T, k, tol)
 
     def test_tiny_tol_terminates(self):
         # a tol below the float spacing at the eigenvalue: the bracket
@@ -436,15 +465,17 @@ class TestLowestEigenvalues:
                 "print(lowest_eigenvalues(T, 1, tol=1e-20))\n"
                 "M = _reversed(discretize(funnel_limit_potential(2.3), "
                 "-20.0, 4.0, 2000))\n"
-                "print(lowest_eigenvalues(M, 2, tol=1e-20))\n")
+                "print(lowest_eigenvalues(M, 2, tol=1e-20))\n"
+                "print(lowest_eigenvalues(M, 2, tol=1e-20, near=[2.3, 4.9]))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        first, morse = proc.stdout.splitlines()
+        first, morse, seeded = proc.stdout.splitlines()
         # 36 (2 - 2 cos(pi / 6)), the lowest eigenvalue of the 5-point grid
         assert float(first.strip("[]")) == pytest.approx(
             72.0 - 36.0 * math.sqrt(3.0), rel=1e-14)
         assert len(morse.split(",")) == 2
+        assert seeded == morse
 
     def test_sweeps_shared_between_indices(self, monkeypatch):
         calls = []
@@ -455,10 +486,57 @@ class TestLowestEigenvalues:
         monkeypatch.setattr(sturm1d, "count_below", counted)
         monkeypatch.setattr(essential, "count_below", counted)
         essential.morse_check(2.3, MorseOptions(n=2000))
-        assert len(calls) <= 120
+        assert len(calls) <= 50
         calls.clear()
         essential.funnel_mode_limit_check(1.3, [6])
-        assert len(calls) <= 72
+        assert len(calls) <= 40
+
+    def test_useless_estimates_cost_a_few_counts(self, monkeypatch):
+        # an estimate far from its eigenvalue costs at most
+        # ceil(log8(range / tol)) + 2 counts more than no estimate
+        calls = []
+
+        def counted(T, lam):
+            calls.append(lam)
+            return count_below(T, lam)
+        monkeypatch.setattr(sturm1d, "count_below", counted)
+        rng = np.random.default_rng(5)
+        morse = _reversed(discretize(funnel_limit_potential(2.3),
+                                     -20.0, 4.0, 2000))
+        cases = [(random_tridiagonal(rng), 1e-9) for _ in range(6)]
+        cases += [(morse, 1e-7), (morse, 1e-20)]
+        for T, tol in cases:
+            k = min(T.n, 5) if T is not morse else 2
+            glo, ghi = T.gershgorin()
+            extra = math.ceil(math.log((ghi - glo + 2.0) / tol, 8)) + 2
+            calls.clear()
+            plain = lowest_eigenvalues(T, k, tol)
+            budget = len(calls) + k * extra
+            for near in ([glo - 1.0] * k, [ghi + 1.0] * k,
+                         [0.5 * (glo + ghi)] * k, [glo - 1e300] * k):
+                calls.clear()
+                assert lowest_eigenvalues(T, k, tol, near=near) == plain
+                assert len(calls) <= budget
+
+    def test_seeded_points_are_counted_once(self, monkeypatch):
+        calls = []
+
+        def counted(T, lam):
+            calls.append(lam)
+            return count_below(T, lam)
+        monkeypatch.setattr(sturm1d, "count_below", counted)
+        rng = np.random.default_rng(7)
+        twin = TridiagonalOperator(diag=np.array([1.0, 1.0]),
+                                   off=np.array([0.0]))
+        for T in [random_tridiagonal(rng) for _ in range(6)] + [twin]:
+            k = min(T.n, 5)
+            exact = np.sort(dense_eigenvalues(T.diag, T.off))[:k]
+            # estimates 7 tol apart land on each other's window points
+            for near in (exact, exact + 1e-3, exact[::-1],
+                         exact[0] + 7e-9 * np.arange(k), [exact[0]] * k):
+                calls.clear()
+                lowest_eigenvalues(T, k, 1e-9, near=near)
+                assert len(calls) == len(set(calls))
 
     def test_self_checks_stop_in_the_forbidden_tail(self, monkeypatch):
         # morse_check and funnel_mode_limit_check bisect on grids whose
@@ -491,6 +569,9 @@ class TestLowestEigenvalues:
             lowest_eigenvalues(T, 9)
         with pytest.raises(ValueError):
             lowest_eigenvalues(T, 1, tol=0.0)
+        for near in ([], [1.0, 2.0], [math.nan], [math.inf], [-math.inf]):
+            with pytest.raises(ValueError, match="near"):
+                lowest_eigenvalues(T, 1, near=near)
 
 
 def wavy_coeffs(t):
