@@ -324,12 +324,21 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     if isinstance(end, FunnelEnd):
         return GrowthReport(h0=h0, h1_or_h2=True, witness=float(np.max(g)))
 
-    # cusp: smallest C with g(t) <= C e^{C t} on the grid
-    def excess(C: float) -> float:
-        return float(np.max(g * np.exp(-C * grid))) - C
-
-    if excess(0.0) <= 0.0:
+    # cusp: smallest C with g(t) <= C e^{C t} on the grid; where e^{-C t} or
+    # g e^{-C t} would pass e^709 (t < 0), in logs (a zero g: log -inf)
+    if not g.any():
         return GrowthReport(h0=h0, h1_or_h2=True, witness=0.0)
+    with np.errstate(divide="ignore"):
+        log_g = np.log(g)
+
+    def excess(C: float) -> float:
+        x = -C * grid
+        y = log_g + x
+        big = (x > 709.0) | (y > 709.0)
+        if big.any() and y[big].max() > math.log(C):
+            return math.inf
+        return float(np.max(g[~big] * np.exp(x[~big]), initial=0.0)) - C
+
     lo, hi = 0.0, 1.0
     found = excess(hi) <= 0.0
     while not found and hi < 1e9:

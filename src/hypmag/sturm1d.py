@@ -77,13 +77,14 @@ class TridiagonalOperator:
         return self.diag.size
 
     def gershgorin(self) -> tuple[float, float]:
-        """Interval certainly containing the whole spectrum."""
+        """Interval holding the spectra of the blocks between +inf rows."""
         n = self.n
         radius = np.zeros(n)
         if n > 1:
             radius[:-1] += np.abs(self.off)
             radius[1:] += np.abs(self.off)
-        return float(np.min(self.diag - radius)), float(np.max(self.diag + radius))
+        hi = np.max(self.diag + radius, where=self.diag < np.inf, initial=-np.inf)
+        return float(np.min(self.diag - radius)), float(hi)
 
     @cached_property
     def _coupling(self) -> float | np.ndarray:
@@ -139,11 +140,14 @@ def count_below(T: TridiagonalOperator, lam: float) -> int:
     50 to 70 ns per row swept where every coupling is one float (every
     discretize grid), about 0.1 us on blocks of T._coupling's array; the
     sweep stops in the dominant tail that a bisection in T._tail_floors
-    finds (module docstring).  lam = inf counts every row, NaN is refused.
+    finds (module docstring).  lam = inf counts the finite rows (a +inf
+    row is a wall between blocks), NaN is refused.
     """
     lam = float(lam)
     if math.isnan(lam):
         raise ValueError("lam must not be NaN")
+    if lam == math.inf:
+        return int(np.count_nonzero(T.diag < math.inf))
     tail = _CUT_ROWS * bisect_left(T._tail_floors, lam)
     count, d = 0, math.inf
     for lo in range(0, T.n, _COEFF_ROWS):
@@ -357,27 +361,27 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10, *,
                        near=None) -> list[float]:
     """The k smallest eigenvalues by bisection on the inertia count.
 
-    Multiple eigenvalues come out as repeated values agreeing to tol.
-    Each is bisected from [glo - 1, ghi + 1] (Gershgorin bounds) until the
-    bracket is narrower than tol or its midpoint rounds to an end.  As in
-    LAPACK xSTEBZ, every count narrows the brackets of all indices, and a
-    midpoint whose side they know is not counted: the count is monotone in
-    IEEE arithmetic too (Demmel, Dhillon & Ren, ETNA 3, 1995), so the
-    values are those of plain bisection, and no point is counted twice.
-    near, one finite estimate g per index, brackets each from counts at
-    g -+ w, w = tol, 8 tol, ..., on a side still unknown, until the bracket
-    or w spans [glo - 1, ghi + 1]; without it, counts at glo + 2^i, until k
-    eigenvalues lie below, spare the descent from ghi, near 4/h^2.
+    k may not exceed the finite rows (a +inf row is a Dirichlet wall), and
+    multiple eigenvalues come out as repeated values agreeing to tol.
+    Index j is bracketed from counts at g -+ w, w = tol, 8 tol, ..., on a
+    side still unknown, g = near[j] (one finite estimate per index; by
+    default the Gershgorin floor glo), until the bracket or w spans
+    [glo - 1, ghi + 1], then bisected from there until narrower than tol
+    or its midpoint rounds to an end.  As in LAPACK xSTEBZ, every count
+    narrows the brackets of all indices, and a midpoint whose side they
+    know is not counted: the count is monotone in IEEE arithmetic too
+    (Demmel, Dhillon & Ren, ETNA 3, 1995), so the values are those of
+    plain bisection whatever the estimates, and no point is counted twice.
     """
-    if not (1 <= k <= T.n):
-        raise ValueError(f"k must be in 1..{T.n}, got {k}")
+    rows = int(np.count_nonzero(T.diag < math.inf))
+    if not (1 <= k <= rows):
+        raise ValueError(f"k must be in 1..{rows} (the finite rows), got {k}")
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    if near is not None:
-        near = [float(g) for g in near]
-        if len(near) != k or not all(map(math.isfinite, near)):
-            raise ValueError(f"near must hold k = {k} finite estimates")
     glo, ghi = T.gershgorin()
+    near = [glo] * k if near is None else [float(g) for g in near]
+    if len(near) != k or not all(map(math.isfinite, near)):
+        raise ValueError(f"near must hold k = {k} finite estimates")
     # largest (smallest) points known to have < j (>= j) eigenvalues below
     under, over = [-math.inf] * (k + 1), [math.inf] * (k + 1)
 
@@ -386,11 +390,7 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10, *,
         over[1:c + 1] = [min(o, x) for o in over[1:c + 1]]
         under[c + 1:] = [max(u, x) for u in under[c + 1:]]
         return c
-    if near is None:
-        step = 1.0
-        while glo + step < ghi + 1.0 and count(glo + step) < k:
-            step *= 2.0
-    for j, g in enumerate(near or (), 1):
+    for j, g in enumerate(near, 1):
         # windows g -+ w, w = tol, 8 tol, ... (no narrower than g's ulp)
         w = max(tol, math.ulp(g)) / 8.0
         while w < ghi - glo + 2.0 and (under[j] < g - w or over[j] > g + w):

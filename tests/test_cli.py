@@ -400,6 +400,18 @@ class TestErrorPaths:
                                 "--grid", "1")
         assert (rc, err) == (0, "")
 
+    def test_hypcheck_cusp_below_zero(self, capsys, tmp_path):
+        # b~ = 10 (y - 1/e) from t0 = -2 vanishes at t = -1, where
+        # |y b~'| = 10/e exceeds max_C C e^{-C} = 1/e: no witness, and no
+        # overflow of e^{-C t} at t < 0 reaches stderr
+        cfg = write_config(tmp_path / "end.json", [cusp_linear_end(
+            t0=-2.0, field={"kind": "y-poly",
+                            "coeffs": [-3.6787944117144233, 10]})])
+        rc, out, err = run_main(capsys, "hypcheck", "--config", cfg)
+        assert (rc, err) == (0, "")
+        assert out == ('{"ends":[{"index":0,"type":"cusp","h0":true,'
+                       '"h1_or_h2":false,"witness":null}],"all_hold":false}\n')
+
     @pytest.mark.parametrize("end, span, first_bad", [
         # the first of the 512 grid points past the overflow of e^t, of
         # e^{2t} and of cosh^2 t
@@ -505,6 +517,8 @@ REFUSED_CONFIGS = {
     "string-coeff": ({"ends": [_field(coeffs=[0.0, "1"])]},
                      "config.ends[0].field.coeffs[1]: expected a number"),
     "no-ends": ({"ends": []}, "config.ends: need at least one end"),
+    "ends-not-list": ({"ends": cusp_linear_end()},
+                      "config.ends: unexpected type dict"),
 }
 
 

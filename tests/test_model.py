@@ -105,6 +105,9 @@ class TestEnds:
         with pytest.raises(ValueError):
             CuspEnd(L=1.0, t0=0.0, field=RadialField(FUNNEL_KIND, (1.0,)),
                     xi=0.0)
+        for t0, xi in ((math.inf, 0.0), (math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                CuspEnd(L=1.0, t0=t0, field=field, xi=xi)
         # negative t0 is allowed on cusps
         CuspEnd(L=1.0, t0=-3.0, field=field, xi=0.0)
 
@@ -217,6 +220,18 @@ class TestGrowthHypotheses:
         assert rep.h0
         assert rep.h1_or_h2
         assert rep.witness == pytest.approx(0.5, abs=1e-12)
+
+    def test_cusp_witness_found_by_doubling(self):
+        # g = 4 y^4 / (y^4 + 1) is 2 at t0 = 0, so C = 1 fails and the
+        # search doubles; the witness is the smallest C on the grid
+        grid = np.linspace(0.0, 12.0, 512)
+        rep = check_growth_hypotheses(make_cusp([0.0, 0.0, 0.0, 0.0, 1.0]), grid)
+        assert rep.h1_or_h2 and rep.witness > 1.0
+        y = np.exp(grid)
+        g = 4.0 * y ** 4 / (y ** 4 + 1.0)
+        C = rep.witness
+        assert np.all(g <= C * np.exp(C * grid))
+        assert not np.all(g <= 0.999 * C * np.exp(0.999 * C * grid))
 
     def test_constant_field_fails_h0(self):
         end = make_cusp([3.0])

@@ -229,10 +229,13 @@ class TestScanEdgeCases:
                 mode_window(end, 10.0)
 
     def test_bounded_nonconstant_also_rejected(self):
-        # degree 0 with extra zero coefficients is still bounded
-        end = make_cusp([2.0, 0.0, 0.0])
-        with pytest.raises(BoundedFieldError):
-            count_end(end, 10.0)
+        # degree 0 with extra zero coefficients is still bounded, as is
+        # the zero field
+        for coeffs in ([2.0, 0.0, 0.0], [0.0, 0.0]):
+            end = make_cusp(coeffs)
+            assert end.field.degree == 0
+            with pytest.raises(BoundedFieldError):
+                count_end(end, 10.0)
 
     def test_mode_range_matches_counted_window(self):
         end = make_cusp([0.0, 1.0])

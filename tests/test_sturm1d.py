@@ -58,6 +58,22 @@ def random_tridiagonal(rng):
     return TridiagonalOperator(diag=diag, off=off)
 
 
+def walled_tridiagonal(rng):
+    """A random operator with 1 to n/3 +inf rows (Dirichlet walls)."""
+    n = int(rng.integers(3, 31))
+    diag = rng.uniform(-5.0, 5.0, n)
+    diag[rng.choice(n, int(rng.integers(1, n // 3 + 1)), replace=False)] = np.inf
+    return TridiagonalOperator(diag=diag, off=rng.uniform(-3.0, 3.0, n - 1))
+
+
+def block_eigenvalues(T):
+    """Sorted eigenvalues of the blocks between +inf rows, from LAPACK."""
+    walls = np.flatnonzero(np.isinf(T.diag))
+    evals = [dense_eigenvalues(T.diag[lo:hi], T.off[lo:hi - 1])
+             for lo, hi in zip(np.r_[0, walls + 1], np.r_[walls, T.n]) if hi > lo]
+    return np.sort(np.concatenate(evals))
+
+
 class TestDiscretize:
     def test_structure(self):
         T = discretize(lambda t: t, 0.0, 1.0, 4)
@@ -141,6 +157,20 @@ class TestCountBelow:
         assert count_below(T, -math.inf) == 0
         with pytest.raises(ValueError, match="lam"):
             count_below(T, math.nan)
+
+    def test_infinite_rows_split_into_blocks(self):
+        # a +inf row is a wall: the count is that of the finite blocks,
+        # and lam = inf counts every finite row (no NaN pivot, no warning)
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            T = walled_tridiagonal(rng)
+            evals = block_eigenvalues(T)
+            for lam in rng.uniform(-8.0, 8.0, 5):
+                assert count_below(T, lam) == int(np.sum(evals < lam))
+            assert count_below(T, math.inf) == evals.size
+        T = TridiagonalOperator(diag=np.array([1.0, np.inf, 3.0]),
+                                off=np.array([0.5, 0.5]))
+        assert count_below(T, math.inf) == 2
 
 
 class TestDominantTailCut:
@@ -371,6 +401,12 @@ class TestGershgorin:
             lo, hi = T.gershgorin()
             evals = dense_eigenvalues(T.diag, T.off)
             assert lo <= evals.min() and evals.max() <= hi
+        # +inf rows are left out: the bounds are those of the finite rows
+        for _ in range(10):
+            T = walled_tridiagonal(rng)
+            lo, hi = T.gershgorin()
+            evals = block_eigenvalues(T)
+            assert math.isfinite(hi) and lo <= evals[0] and evals[-1] <= hi
 
 
 def plain_bisection(T, k, tol):
@@ -433,6 +469,25 @@ class TestLowestEigenvalues:
                          exact[::-1], [glo - 5.0] * k, [ghi + 5.0] * k,
                          [glo - 1e300, ghi + 1e300] * k):
                 assert lowest_eigenvalues(T, k, tol, near=near[:k]) == plain
+
+    def test_infinite_rows_split_into_blocks(self):
+        # every eigenvalue of the finite blocks, unseeded and seeded, and a
+        # k past the finite rows refused; no warning is raised
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            T = walled_tridiagonal(rng)
+            evals = block_eigenvalues(T)
+            k = evals.size
+            got = lowest_eigenvalues(T, k, tol=1e-9)
+            assert np.allclose(got, evals, rtol=0.0, atol=1e-8)
+            assert lowest_eigenvalues(T, k, tol=1e-9, near=evals) == got
+            with pytest.raises(ValueError, match="finite rows"):
+                lowest_eigenvalues(T, k + 1)
+        T = TridiagonalOperator(diag=np.array([1.0, np.inf, 3.0]),
+                                off=np.array([0.5, 0.5]))
+        assert lowest_eigenvalues(T, 2) == pytest.approx([1.0, 3.0], abs=1e-9)
+        with pytest.raises(ValueError, match="finite rows"):
+            lowest_eigenvalues(T, 3)
 
     def test_self_checks_equal_plain_bisection(self, monkeypatch):
         # the self-checks seed every bisection with an estimate (the

@@ -90,6 +90,22 @@ class TestWeylIntegral:
             brute = float(np.trapezoid(f, ts))
             assert weyl_integral(end, lam) == pytest.approx(brute, rel=1e-5)
 
+    @pytest.mark.parametrize("quad_tol", [1e-6, 1e-12])
+    def test_gauss_halves_a_wide_piece(self, monkeypatch, quad_tol):
+        # cosh t on [0, 60] (funnel cosh1, weight 1, bound): the 16 and
+        # 32 node rules disagree there, so the piece is halved
+        rules = []
+
+        def counted(end, t):
+            rules.append(t.shape)
+            return eval_field(end, t)
+        monkeypatch.setattr(weyl, "eval_field", counted)
+        got = weyl._gauss(make_funnel([0.0, 1.0]), np.array([0.0]),
+                          np.array([60.0]), np.array([1.0]), np.array([True]),
+                          lambda v: 1.0, quad_tol)
+        assert len(rules) > 2
+        assert got == pytest.approx(math.sinh(60.0), rel=quad_tol)
+
     def test_turning_point_inside_one_sample_cell(self):
         # b~ = c (y - 2)^2 + 5 stays below mu only for |t - ln 2| < 7e-5,
         # a sliver at the shared end of the two cells on which b~ is
@@ -371,6 +387,34 @@ class TestBracket:
         assert upper == pytest.approx(funnel_bracket_quad(
             end, lam * (1.0 + shift) - 0.25, lambda b: 1.0 + C / (b + 1.0) ** p),
             rel=1e-7)
+
+    def test_sign_changing_cusp_matches_trapezoid(self, monkeypatch):
+        # b~ = y - 4 vanishes at t = ln 4; the unresolved levels there
+        # exceed quad_tol at the first cutoff, which is reduced (a second
+        # _pieces pass for one of the two bounds)
+        passes, pieces = [], weyl._pieces
+
+        def counted(end, span, cuts):
+            passes.append(len(cuts))
+            return pieces(end, span, cuts)
+        monkeypatch.setattr(weyl, "_pieces", counted)
+        end, lam, C = make_cusp([-4.0, 1.0], xi=0.2), 100.0, 1.0
+        opts = WeylOptions(bracket_C=C)
+        lower, upper = theorem1_bracket(end, lam, opts)
+        assert len(passes) > 2
+        assert lower <= weyl_integral(end, lam, opts) <= upper
+        p = (2.0 - 5.0 * opts.delta) / 2.0
+        shift = C * lam ** (1.0 - 3.0 * opts.delta)
+        ts = np.linspace(end.t0, 6.0, 200001)
+        b = np.abs(np.asarray(eval_field(end, ts))).tolist()
+        rho = end.L * np.exp(-ts)
+        for got, mu, weight in (
+                (lower, lam * (1.0 - shift) - 0.25,
+                 lambda b: max(0.0, 1.0 - C / (b + 1.0) ** p)),
+                (upper, lam * (1.0 + shift) - 0.25,
+                 lambda b: 1.0 + C / (b + 1.0) ** p)):
+            f = np.array([weight(bi) * landau_count(mu, bi) for bi in b]) * rho
+            assert got == pytest.approx(float(np.trapezoid(f, ts)), rel=1e-5)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
