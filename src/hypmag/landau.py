@@ -51,7 +51,7 @@ class LandauLevelSet:
     levels: tuple[float, ...]
 
 
-_MAX_LEVELS = 1 << 20  # the Landau-level bound of weyl (_MAX_PIECES // 4)
+_MAX_LEVELS = 1 << 20  # also weyl's bound, which holds four pieces a level
 
 
 def landau_level_set(beta: float) -> LandauLevelSet:

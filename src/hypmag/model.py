@@ -324,20 +324,15 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     if isinstance(end, FunnelEnd):
         return GrowthReport(h0=h0, h1_or_h2=True, witness=float(np.max(g)))
 
-    # cusp: smallest C with g(t) <= C e^{C t} on the grid; where e^{-C t} or
-    # g e^{-C t} would pass e^709 (t < 0), in logs (a zero g: log -inf)
+    # cusp: smallest C with g(t) <= C e^{C t} on the grid, in logs, as
+    # e^{-C t} overflows at t < 0 (a zero g: log -inf)
     if not g.any():
         return GrowthReport(h0=h0, h1_or_h2=True, witness=0.0)
     with np.errstate(divide="ignore"):
         log_g = np.log(g)
 
     def excess(C: float) -> float:
-        x = -C * grid
-        y = log_g + x
-        big = (x > 709.0) | (y > 709.0)
-        if big.any() and y[big].max() > math.log(C):
-            return math.inf
-        return float(np.max(g[~big] * np.exp(x[~big]), initial=0.0)) - C
+        return float(np.max(log_g - C * grid)) - math.log(C)
 
     lo, hi = 0.0, 1.0
     found = excess(hi) <= 0.0

@@ -9,6 +9,13 @@ eigenvalues come from bisection on that count between the Gershgorin
 bounds, so they inherit its robustness; estimates of them only bracket
 them sooner and never change them, as the count is monotone.
 
+A zero pivot is nudged to eps (|alpha| + 1), alpha the row's diagonal
+entry minus lambda, so that an eigenvalue exactly at lambda is not
+counted.  The nudge reads no coupling.  Its size can set the sign of the
+next pivot, alpha' - c2' / nudge, and a row entered from d = +inf (row 0,
+a row past a +inf wall) has c2 / d = 0: its c2 is not in effect, so the
+row is nudged as the first row of its own block is.
+
 count_below sweeps one operator with a scalar pivot recurrence on Python
 floats: 50 to 70 ns per row swept where every row has one coupling c2, as
 on every discretize grid and mode family, and about 0.1 us with a coupling
@@ -107,7 +114,8 @@ class TridiagonalOperator:
         floor = self.diag - (1.0 + _SLACK) * (e[:-1] + e[1:])
         f = np.minimum.reduceat(floor, np.arange(0, self.n, _CUT_ROWS))
         f = np.minimum.accumulate(f[::-1])[::-1]
-        return (f * (1.0 - 2.0 * _EPS * np.sign(f))).tolist()
+        with np.errstate(over="ignore"):  # past -max: -inf, no cut
+            return (f * (1.0 - 2.0 * _EPS * np.sign(f))).tolist()
 
 
 def discretize(V, t_lo: float, t_hi: float, n: int) -> TridiagonalOperator:
@@ -152,24 +160,15 @@ def count_below(T: TridiagonalOperator, lam: float) -> int:
     count, d = 0, math.inf
     for lo in range(0, T.n, _COEFF_ROWS):
         hi = min(T.n, lo + _COEFF_ROWS)
-        alpha, c2 = T.diag[lo:hi] - lam, T._coupling
+        with np.errstate(over="ignore"):  # alpha may reach -+inf
+            alpha, c2 = T.diag[lo:hi] - lam, T._coupling
         if not isinstance(c2, float):
             c2 = c2[lo:hi].tolist()
-        elif lo == 0:
-            _first_row(alpha)
         k, d, final = _cut_sweep(alpha.tolist(), c2, d, tail - lo)
         count += k
         if final:
             break
     return count
-
-
-def _first_row(alpha):
-    """Set zeros in alpha's first row, row 0 of the operator, to _EPS: the
-    nudge of a zero pivot with no coupling (c2 = 0), where a float c2 for
-    every row, or the lockstep's hand-over to it, would nudge by c2 + 1."""
-    first = alpha[:1]
-    first[first == 0.0] = _EPS
 
 
 def _pivot_sweep(alpha, c2, d):
@@ -178,9 +177,9 @@ def _pivot_sweep(alpha, c2, d):
     alpha is a list of diagonal entries minus lambda, c2 the squared
     coupling of each row to the row before: one float for every row, or a
     list of one per row.  The pivot of the row before is d (d = inf before
-    the first row, whose c2 is 0 in a list; with a float, _first_row has
-    set its alpha).  Zero pivots are nudged positive: an eigenvalue
-    exactly at lambda must not enter the strict count.
+    the first row).  A zero pivot becomes eps (|alpha| + 1), whatever c2
+    (module docstring).  An alpha of +inf is a wall, one of -inf (diag -
+    lambda past the float range) a negative pivot; the next quotient is 0.
     """
     count = 0
     if isinstance(c2, float):
@@ -190,7 +189,7 @@ def _pivot_sweep(alpha, c2, d):
                 if d < 0.0:
                     count += 1
                 else:
-                    d = _EPS * (abs(a) + c2 + 1.0)
+                    d = _EPS * (abs(a) + 1.0)
         return count, d
     for a, c2i in zip(alpha, c2):
         d = a - c2i / d
@@ -198,7 +197,7 @@ def _pivot_sweep(alpha, c2, d):
             if d < 0.0:
                 count += 1
             else:
-                d = _EPS * (abs(a) + c2i + 1.0)
+                d = _EPS * (abs(a) + 1.0)
     return count, d
 
 
@@ -333,8 +332,6 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
             hi = (min(n, (r // _COEFF_ROWS + 1) * _COEFF_ROWS) if narrow
                   else min(n, r + max(1, _BLOCK_CELLS // (j1 - j0)), test))
             alpha = alphas(slice(r, hi), slice(j0, j1))
-            if r == 0:
-                _first_row(alpha)
             if narrow:
                 for j in j0 + np.flatnonzero(~final[j0:j1]):
                     k, prev[j], final[j] = _cut_sweep(
@@ -402,12 +399,12 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10, *,
     for j in range(1, k + 1):
         lo, hi = glo - 1.0, ghi + 1.0
         while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi
             if mid == lo or mid == hi:
                 break
             if mid >= over[j] or (mid > under[j] and count(mid) >= j):
                 hi = mid
             else:
                 lo = mid
-        out.append(0.5 * (lo + hi))
+        out.append(0.5 * lo + 0.5 * hi)
     return out

@@ -26,11 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .landau import _MAX_LEVELS
 from .model import (BoundedFieldError, CuspEnd, FunnelEnd, RadialField,
                     SurfaceEnds, _radii, eval_field, finite, gauge_function,
                     last_crossing)
 
-_MAX_PIECES = 1 << 22   # pieces held at once; a quarter of that in levels
+_MAX_PIECES = 4 * _MAX_LEVELS  # pieces held at once, four per Landau level
 _ROUNDS = 8             # cutoff reductions before the kink bound gives up
 _HALVINGS = 40          # Gauss-Legendre halvings before giving up
 _BLOCK = 1 << 14        # pieces per Gauss-Legendre evaluation
@@ -203,7 +204,7 @@ def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
         end.field.kind, tuple(abs(c) for c in end.field.coeffs)))
     for _ in range(_ROUNDS):
         if mu > beta * _MAX_PIECES / 2:
-            raise RuntimeError(f"more than {_MAX_PIECES // 4} Landau levels "
+            raise RuntimeError(f"more than {_MAX_LEVELS} Landau levels "
                                f"above {beta}; lower lambda or raise quad_tol")
         levels = mu / (2.0 * np.arange(int(mu / beta) // 2 + 1) + 1.0)
         cuts = [*levels[levels > beta], beta] + ([kink] if kink else [])

@@ -17,14 +17,15 @@ from hypmag.sturm1d import mode_counts
 
 
 def full_sweep(alpha, c2s):
-    """Negative pivots of the nudged LDL^T recurrence over every row."""
+    """Negative pivots of the nudged LDL^T recurrence over every row; a
+    zero pivot becomes eps (|alpha| + 1), whatever the row's coupling."""
     count, d = 0, math.inf
     for a, c2 in zip(alpha, c2s):
         d = a - c2 / d
         if d < 0.0:
             count += 1
         elif d == 0.0:
-            d = sturm1d._EPS * (abs(a) + c2 + 1.0)
+            d = sturm1d._EPS * (abs(a) + 1.0)
     return count
 
 
@@ -72,6 +73,19 @@ def block_eigenvalues(T):
     evals = [dense_eigenvalues(T.diag[lo:hi], T.off[lo:hi - 1])
              for lo, hi in zip(np.r_[0, walls + 1], np.r_[walls, T.n]) if hi > lo]
     return np.sort(np.concatenate(evals))
+
+
+def mp_eigenvalues(diag, off, dps=700):
+    """Sorted eigenvalues of a small tridiagonal matrix from mpmath; 700
+    digits resolve 1e-308 next to 1e308, and no entry can overflow."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        A = mpmath.zeros(len(diag))
+        for i, x in enumerate(diag):
+            A[i, i] = x
+        for i, x in enumerate(off):
+            A[i, i + 1] = A[i + 1, i] = x
+        return sorted(mpmath.eigsy(A, eigvals_only=True))
 
 
 class TestDiscretize:
@@ -171,6 +185,84 @@ class TestCountBelow:
         T = TridiagonalOperator(diag=np.array([1.0, np.inf, 3.0]),
                                 off=np.array([0.5, 0.5]))
         assert count_below(T, math.inf) == 2
+
+    def test_row_past_a_wall_is_nudged_as_row_zero(self):
+        # the block [2, 2 + 3e15, 2, 2] past the wall has 2 eigenvalues
+        # below 2 (-1 and -3.3e-16 after the shift); its first pivot at
+        # lam = 2 is 0, and only the nudge to _EPS that row 0 gets makes
+        # the next one, 3e15 - 1 / _EPS, negative.  off[0] couples row 0
+        # to the wall, so -0.5 there changes no eigenvalue but makes the
+        # couplings a list
+        diag = np.array([5.0, np.inf, 2.0, 2.0 + 3e15, 2.0, 2.0])
+        block = mp_eigenvalues(diag[2:] - 2.0, [-1.0] * 3, dps=50)
+        assert sum(1 for x in block if x < 0) == 2
+        for off0, form in ((-1.0, float), (-0.5, np.ndarray)):
+            off = np.r_[off0, np.full(4, -1.0)]
+            T = TridiagonalOperator(diag=diag, off=off)
+            assert type(T._coupling) is form
+            blocks = [TridiagonalOperator(diag=diag[:1], off=off[:0]),
+                      TridiagonalOperator(diag=diag[2:], off=off[2:])]
+            assert count_below(T, 2.0) == 2 == sum(
+                count_below(B, 2.0) for B in blocks)
+
+    def test_sweep_entered_from_inf_counts_the_trailing_block(self):
+        # c2 / inf = 0: a sweep entered from d = inf at row r > 0 is a
+        # sweep of the rows from r on, in either form of the couplings,
+        # also where row r has a zero pivot whose nudge sets the count
+        rng = np.random.default_rng(24)
+        cases = [(np.tile([2.0, 2.0 + 3e15, 2.0], 5), np.full(14, -1.0), 2.0),
+                 (np.array([5.0, 7.0, 2.0, 2.0 + 3e15, 2.0, 2.0]),
+                  np.full(5, -1.0), 2.0)]
+        for _ in range(20):
+            T = random_tridiagonal(rng)
+            cases.append((T.diag, T.off, float(rng.choice(T.diag))))
+        for diag, off, lam in cases:
+            T = TridiagonalOperator(diag=diag, off=off)
+            alpha = (T.diag - lam).tolist()
+            listed = [0.0] + (T.off * T.off).tolist()
+            for r in range(1, min(T.n, 40)):
+                block = TridiagonalOperator(diag=diag[r:], off=off[r:])
+                forms = [listed[r:]]
+                if isinstance(T._coupling, float):
+                    forms.append(T._coupling)
+                for c2 in forms:
+                    k, _ = sturm1d._pivot_sweep(alpha[r:], c2, math.inf)
+                    assert k == count_below(block, lam)
+
+
+class TestFloatRange:
+    """Operators on which diag - lam leaves the float range: alpha reaches
+    -+inf without a warning (an inf alpha is a wall, a -inf one a negative
+    pivot), and bisection midpoints do not overflow."""
+
+    BIG = float(np.finfo(float).max)
+    CASES = [([-1e308, 1e308, 0.0], [1.0, 1.0]), ([1e308, 0.0], [1.0]),
+             ([-BIG, BIG, 0.0], [1.0, 1.0]), ([-BIG, 0.0], [1.0])]
+
+    def test_counts_match_mpmath(self):
+        # exact, but at -+1e308 and -+BIG: there an eigenvalue lies some
+        # 1e-308 from lam, where a diag - lam rounds to 0, so it is at lam
+        # in floats, and the count lies between those at lam -+ 4 ulps
+        mpmath = pytest.importorskip("mpmath")
+        for diag, off in self.CASES:
+            T = TridiagonalOperator(diag=np.array(diag), off=np.array(off))
+            evals = mp_eigenvalues(diag, off)
+            for lam in (-self.BIG, -1e308, -1e307, -0.5, 0.5, 1e307, 1e308,
+                        self.BIG, -math.inf, math.inf):
+                with mpmath.workdps(700):
+                    delta = 4 * mpmath.mpf(math.ulp(lam) if math.isfinite(lam) else 0)
+                    low = sum(1 for x in evals if x < lam - delta)
+                    high = sum(1 for x in evals if x < lam + delta)
+                assert low <= count_below(T, lam) <= high
+                if abs(lam) not in (1e308, self.BIG):
+                    assert low == high
+
+    def test_eigenvalues_match_mpmath(self):
+        for diag, off in self.CASES:
+            T = TridiagonalOperator(diag=np.array(diag), off=np.array(off))
+            got = lowest_eigenvalues(T, len(diag))
+            for g, want in zip(got, mp_eigenvalues(diag, off)):
+                assert abs(g - want) <= max(1e-10, 2.0 * math.ulp(g))
 
 
 class TestDominantTailCut:
@@ -312,7 +404,8 @@ def row_pivots(alpha, c2):
 def zero_first_pivot(n):
     """A grid of step 1 whose first pivot at lam = 2 is exactly 0, and
     whose second is negative only after the nudge to _EPS (c2 / _EPS beats
-    3e15 where c2 / (_EPS (c2 + 1)) does not): (V, t_lo, t_hi, n)."""
+    3e15, where a nudge _EPS (c2 + 1) read from c2 = 1 would not):
+    (V, t_lo, t_hi, n)."""
     def V(t):
         return np.where(np.round(t) == 2.0, 3e15, 0.0) + np.sin(t) ** 2 * (t > 2.5)
     return V, 0.0, n + 1.0, n
@@ -343,27 +436,27 @@ class TestUniformCoupling:
 
     def test_pivots_match_the_list_form(self):
         for T, lam in self.cases():
-            alpha = T.diag - lam
+            alpha = (T.diag - lam).tolist()
             listed = [0.0] + (T.off * T.off).tolist()
-            want = row_pivots(alpha.tolist(), listed)
-            sturm1d._first_row(alpha)
-            assert row_pivots(alpha.tolist(), T._coupling) == want
+            assert row_pivots(alpha, T._coupling) == row_pivots(alpha, listed)
             cut = sturm1d._CUT_ROWS * bisect.bisect_left(T._tail_floors, lam)
             for tail in (0, cut, T.n):
-                got = sturm1d._cut_sweep(alpha.tolist(), T._coupling, math.inf, tail)
-                ref = sturm1d._cut_sweep((T.diag - lam).tolist(), listed,
-                                         math.inf, tail)
+                got = sturm1d._cut_sweep(alpha, T._coupling, math.inf, tail)
+                ref = sturm1d._cut_sweep(alpha, listed, math.inf, tail)
                 assert (got[0], got[1].hex(), got[2]) == (ref[0], ref[1].hex(), ref[2])
             assert count_below(T, lam) == full_count_below(T, lam)
 
     def test_zero_first_pivot_is_nudged_as_without_coupling(self):
-        # the float c2 nudges a zero pivot to _EPS (c2 + 1): at row 0,
-        # which has no coupling, that would make the next pivot positive
+        # row 0 has no coupling; the float c2 = 1 of every other row must
+        # not enter its nudge, which is _EPS in both forms, so that the
+        # next pivot 3e15 - 1 / _EPS is negative
         for n in (2, 300, 1500):
             T = discretize(*zero_first_pivot(n))
             assert T.diag[0] == 2.0 and T._coupling == 1.0
             alpha = (T.diag - 2.0).tolist()
-            assert sturm1d._pivot_sweep(alpha[:2], 1.0, math.inf)[0] == 0
+            assert (sturm1d._pivot_sweep(alpha[:2], 1.0, math.inf)
+                    == sturm1d._pivot_sweep(alpha[:2], [0.0, 1.0], math.inf))
+            assert sturm1d._pivot_sweep(alpha[:2], 1.0, math.inf)[0] == 1
             assert count_below(T, 2.0) == full_count_below(T, 2.0) >= 1
             V = zero_first_pivot(n)[0]
             for m in (1, sturm1d._NARROW, 20):
