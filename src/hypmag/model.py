@@ -87,9 +87,9 @@ class RadialField:
     def unbounded(self) -> bool:
         return self.degree >= 1
 
-    def _horner(self, coeffs, t):
-        """sum coeffs[i] x^i at x = cosh t (funnel) or e^t (cusp)."""
-        x = np.cosh(t) if self.kind == FUNNEL_KIND else np.exp(t)
+    @staticmethod
+    def _horner(coeffs, x):
+        """sum coeffs[i] x^i."""
         acc = np.zeros_like(np.asarray(x, dtype=float))
         for c in reversed(coeffs):
             acc = acc * x + c
@@ -97,7 +97,21 @@ class RadialField:
 
     def profile(self, t):
         """b~ evaluated at radial coordinate t (scalar or ndarray)."""
-        return self._horner(self.coeffs, t)
+        x = np.cosh(t) if self.kind == FUNNEL_KIND else np.exp(t)
+        return self._horner(self.coeffs, x)
+
+    def profile_and_dt(self, t):
+        """(b~, d/dt b~) at t, from one cosh and sinh pass (funnel) or one
+        e^t pass (cusp); b~ equals profile(t) to the bit."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == FUNNEL_KIND:
+            x, dx = np.cosh(t), np.sinh(t)
+        else:
+            x = dx = np.exp(t)
+        # derivative of sum c_i x^i is sum i c_i x^(i-1), times dx/dt
+        dcoeffs = tuple(i * c for i, c in enumerate(self.coeffs))[1:]
+        db = self._horner(dcoeffs, x) * dx if dcoeffs else np.zeros_like(t)
+        return self._horner(self.coeffs, x), db
 
     def profile_dt(self, t):
         """d/dt of the profile.
@@ -105,13 +119,7 @@ class RadialField:
         For cusp profiles this equals y db~/dy at y = e^t, which is the
         quantity entering the growth hypothesis there.
         """
-        t = np.asarray(t, dtype=float)
-        # derivative of sum c_i x^i is sum i c_i x^(i-1), times dx/dt
-        dcoeffs = tuple(i * c for i, c in enumerate(self.coeffs))[1:]
-        if not dcoeffs:
-            return np.zeros_like(t)
-        dx = np.sinh(t) if self.kind == FUNNEL_KIND else np.exp(t)
-        return self._horner(dcoeffs, t) * dx
+        return self.profile_and_dt(t)[1]
 
 
 @dataclass(frozen=True)
@@ -176,9 +184,10 @@ class SurfaceEnds:
 
 def _check_domain(end, t):
     t = np.asarray(t, dtype=float)
-    # a NaN or -inf makes the min non-finite, a +inf makes the max inf
-    tmin = float(t.min())
-    if not (math.isfinite(tmin) and t.max() < math.inf):
+    # a NaN or -inf makes the min non-finite, a +inf makes the max inf; an
+    # empty t has min and max t0
+    tmin = float(t.min(initial=end.t0))
+    if not (math.isfinite(tmin) and t.max(initial=end.t0) < math.inf):
         raise DomainError("radial coordinate must be finite")
     if tmin < end.t0:
         raise DomainError(
@@ -193,8 +202,29 @@ def eval_field(end, t):
 
 def _radii(end, *polys):
     """Radii t > t0 where x = cosh t (funnel) or e^t (cusp) is a root of one
-    of polys; complex roots count by real part if nearly real, else modulus."""
-    x = np.concatenate([np.roots(poly[::-1]) for poly in polys])
+    of polys (lowest degree first); complex roots count by real part if
+    nearly real, else modulus.
+
+    The roots are those numpy's roots function gives, less its roots 0,
+    which are no radius: with the zero coefficients at both ends
+    stripped, the eigenvalues of the companion matrix, those of one size
+    from one np.linalg.eigvals call on their stack.
+    """
+    companions = {}
+    for poly in polys:
+        p = [float(c) for c in poly]
+        nonzero = [i for i, c in enumerate(p) if c != 0.0]
+        if len(nonzero) > 1:
+            p = p[nonzero[0]:nonzero[-1] + 1]
+            companions.setdefault(len(p) - 1, []).append(
+                [-c / p[-1] for c in reversed(p[:-1])])
+    x = [np.empty(0)]
+    for n, rows in companions.items():
+        A = np.zeros((len(rows), n, n))
+        A[:, 0] = rows
+        A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        x.append(np.linalg.eigvals(A).ravel())
+    x = np.concatenate(x)
     x = np.where(np.abs(x.imag) <= 1e-6 * (1.0 + np.abs(x.real)), x.real, np.abs(x))
     t = np.arccosh(x[x >= 1.0]) if isinstance(end, FunnelEnd) else np.log(x[x > 0.0])
     return t[t > end.t0]
@@ -238,13 +268,14 @@ def gauge_function(end, t):
     t_arr = np.atleast_1d(t_arr)
     coeffs = end.field.coeffs
     if isinstance(end, FunnelEnd):
-        F = _cosh_antiderivatives(len(coeffs), t_arr)
-        F0 = _cosh_antiderivatives(len(coeffs), np.array([end.t0]))
-        integral = np.zeros_like(t_arr)
+        # F at t0 (entry 0) and at every t, from one pass
+        F = _cosh_antiderivatives(len(coeffs),
+                                  np.concatenate(([end.t0], t_arr.ravel())))
+        integral = np.zeros(t_arr.size)
         for i, c in enumerate(coeffs):
             if c != 0.0:
-                integral = integral + c * (F[i + 1] - F0[i + 1][0])
-        a = end.xi - end.tau * integral
+                integral = integral + c * (F[i + 1][1:] - F[i + 1][0])
+        a = end.xi - end.tau * integral.reshape(t_arr.shape)
     else:
         integral = np.zeros_like(t_arr)
         for i, c in enumerate(coeffs):
@@ -314,7 +345,7 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
 
     h0 = end.field.unbounded
     with np.errstate(over="ignore", invalid="ignore"):
-        b, db = end.field.profile(grid), end.field.profile_dt(grid)
+        b, db = end.field.profile_and_dt(grid)
     bad = ~(np.isfinite(b) & np.isfinite(db))
     if bad.any():
         raise DomainError(

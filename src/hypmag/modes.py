@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (BoundedFieldError, DomainError, FunnelEnd, eval_field,
-                    finite, gauge_function, last_crossing)
+from .model import (BoundedFieldError, DomainError, FunnelEnd, finite,
+                    gauge_function, last_crossing)
 from .sturm1d import mode_counts
 
 
@@ -98,10 +98,12 @@ def _coefficients(end, t):
         else:
             w = np.exp(2.0 * t) / (end.L * end.L)
             q = np.full_like(t, 0.25)
-    for name, x in (("a", a), ("w", w), ("q", q)):
-        if not np.isfinite(x).all():
-            bad = float(t.flat[np.argmin(np.isfinite(x))])
-            raise DomainError(f"mode coefficient {name} is not finite at t={bad!r}")
+    ok = np.isfinite((a, w, q))
+    if not ok.all():
+        # the first of a, w, q that is not finite, at its first such t
+        k, i = divmod(int(np.argmin(ok)), t.size)
+        raise DomainError(
+            f"mode coefficient {'awq'[k]} is not finite at t={float(t.flat[i])!r}")
     return a, w, q
 
 
@@ -122,10 +124,12 @@ def mode_potential(end, ell: int):
 
 
 # the lower-bound certificates (theta, s): theta = 0 is the potential
-# itself, H_ell >= V_ell; then each theta with s = +1 and s = -1
+# itself, H_ell >= V_ell; then each theta with s = +1 and s = -1.  Their
+# rows of _QA and _QB hold 1 - theta and s theta
 _THETAS = (0.3, 0.5, 0.7, 0.85, 0.95)
 _THETA = np.array((0.0,) + _THETAS + _THETAS)[:, None]
-_SIGN = np.array((1.0,) * (1 + len(_THETAS)) + (-1.0,) * len(_THETAS))[:, None]
+_QA = 1.0 - _THETA
+_QB = np.array((1.0,) * (1 + len(_THETAS)) + (-1.0,) * len(_THETAS))[:, None] * _THETA
 # grid samples per evaluation of the bound
 _WINDOW_ROWS = 1024
 
@@ -133,27 +137,27 @@ _WINDOW_ROWS = 1024
 def _bound_intervals(end, t, coeffs, lam: float):
     """Open intervals (lo, hi) of ell where a bound is below lam at t.
 
-    coeffs is (a, w, q) at t.  Rows are the certificates (_THETA, _SIGN),
+    coeffs is (a, w, q) at t.  Rows are the certificates (theta, s),
     columns the samples t; a sample where the bound is >= lam for every
     ell has lo = +inf and hi = -inf.
     """
     a, w, q = coeffs
-    b = np.asarray(eval_field(end, t), dtype=float)
+    b = end.field.profile(t)  # t is the first grid's: already checked
     # (sqrt w)': -sech t tanh t / tau on funnels, e^t / L on cusps
     sw = np.sqrt(w)
     dsw = -sw * np.tanh(t) if isinstance(end, FunnelEnd) else sw
     # (1 - theta) w x^2 + s theta (sqrt w)' x + q + s theta b~ - lam < 0,
     # with x = ell - a
-    qa = (1.0 - _THETA) * w
-    qb = _SIGN * _THETA * dsw
-    qc = q + _SIGN * _THETA * b - lam
+    qa, qb = _QA * w, _QB * dsw
+    qc = q + _QB * b - lam
     # near a cusp wall disc overflows to +-inf with its exact sign: no mode
     # or every mode; halving after / qa keeps inf / inf (NaN) out of lo, hi
     with np.errstate(over="ignore"):
         disc = qb * qb - 4.0 * qa * qc
-        root = np.sqrt(np.where(disc > 0.0, disc, 0.0))
-        lo = np.where(disc > 0.0, a + (-qb - root) / qa / 2.0, np.inf)
-        hi = np.where(disc > 0.0, a + (-qb + root) / qa / 2.0, -np.inf)
+        real = disc > 0.0
+        root = np.sqrt(np.where(real, disc, 0.0))
+        lo = np.where(real, a + (-qb - root) / qa / 2.0, np.inf)
+        hi = np.where(real, a + (-qb + root) / qa / 2.0, -np.inf)
     return lo, hi
 
 
@@ -170,9 +174,9 @@ def _window(end, lam: float, t, coeffs) -> tuple[int, int]:
     for i in range(0, t.size, _WINDOW_ROWS):
         rows = slice(i, i + _WINDOW_ROWS)
         lo, hi = _bound_intervals(end, t[rows], [x[rows] for x in coeffs], lam)
-        ell_lo = np.minimum(ell_lo, np.min(lo, axis=1))
-        ell_hi = np.maximum(ell_hi, np.max(hi, axis=1))
-    lo, hi = float(np.max(ell_lo)), float(np.min(ell_hi))
+        ell_lo = np.minimum(ell_lo, lo.min(axis=1))
+        ell_hi = np.maximum(ell_hi, hi.max(axis=1))
+    lo, hi = float(ell_lo.max()), float(ell_hi.min())
     # a certificate that covers every mode on every sample leaves its
     # hull empty (lo = +inf, hi = -inf): then no mode is uncovered
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -262,9 +266,10 @@ def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
             grid = _grid(end, t_max, n)
         h, _, coeffs = grid
         delta = 2.0 * h * h * (lam - 0.25) ** 2 / 12.0
+        cols = ells[active]
         at, below = mode_counts(
-            *(x[1:-1] for x in coeffs), h, np.tile(ells[active], 2),
-            np.repeat((lam, lam - delta), active.size)).reshape(2, -1)
+            *(x[1:-1] for x in coeffs), h, np.concatenate((cols, cols)),
+            np.array((lam, lam - delta)).repeat(active.size)).reshape(2, -1)
         counts[active] = at
         active = active[at != below]
     live = ells[counts > 0]

@@ -266,15 +266,16 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
     their cuts; at _NARROW columns they finish on count_below's loop, a
     _COEFF_ROWS block at a time.
     """
-    a, w, q = (np.asarray(x, dtype=float) for x in (a, w, q))
+    a, w, q = [np.asarray(x, dtype=float) for x in (a, w, q)]
     n = a.size
     if not (a.ndim == 1 and a.shape == w.shape == q.shape and n >= 1):
         raise ValueError("a, w and q must be 1-d arrays of one nonzero length")
     h = float(h)
     if not (0.0 < h < math.inf):
         raise ValueError(f"need a finite grid step h > 0, got {h}")
-    ells = np.asarray(ells, dtype=float)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), ells.shape)
+    ells, lam = np.asarray(ells, dtype=float), np.asarray(lam, dtype=float)
+    if lam.shape != ells.shape:
+        lam = np.broadcast_to(lam, ells.shape)
     for name, x in (("ells", ells), ("lam", lam)):
         if np.isnan(x).any():
             raise ValueError(f"{name} must not be NaN")
@@ -282,7 +283,7 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
     counts = np.zeros(m, dtype=np.int64)
     if m == 0:
         return counts
-    order = np.argsort(ells, kind="stable")
+    order = ells.argsort(kind="stable")
     ells, lam = ells[order], lam[order]
     inv_h2 = 1.0 / (h * h)
     c2 = inv_h2 * inv_h2
@@ -299,20 +300,21 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
 
     # an overflowing (ell - a)^2 w is an infinite diagonal: a positive pivot
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # tails: a row leaves a -+ x short (NaN x: no mode; unfit: all), and
+        # tails: a row leaves a -+ x short (NaN x: no mode; not fit: all), and
         # a mode's tail is one past the last row whose suffix hull holds it
-        top = float(np.max(lam))
+        top = float(lam.max())
         spare = top + 4.0 * _SLACK * inv_h2 + 16.0 * _EPS * abs(top)
         x = np.sqrt(spare - q + 16.0 * _EPS * np.abs(q)) / np.sqrt(w)
         x[w == np.inf] = 0.0
         x *= 1.0 + 4.0 * _EPS
         x += 4.0 * _EPS * np.abs(a)
-        unfit = ~(np.isfinite(a) & np.isfinite(q) & (w >= 0.0))
-        left = np.fmin.accumulate(np.where(unfit, -np.inf, a - x)[::-1])[::-1]
-        right = np.fmax.accumulate(np.where(unfit, np.inf, a + x)[::-1])[::-1]
-        tail = np.searchsorted(left, ells, "right")
-        np.minimum(tail, n - np.searchsorted(right[::-1], ells), out=tail)
-        tail = -(-tail // _CUT_ROWS) * _CUT_ROWS
+        fit = np.isfinite(a) & np.isfinite(q) & (w >= 0.0)
+        left = np.fmin.accumulate(np.where(fit, a - x, -np.inf)[::-1])[::-1]
+        # the suffix hull's right ends, from the far wall in
+        right = np.fmax.accumulate(np.where(fit, a + x, np.inf)[::-1])
+        tail = left.searchsorted(ells, "right")
+        np.minimum(tail, n - right.searchsorted(ells), out=tail)
+        tail = (tail + (_CUT_ROWS - 1)) // _CUT_ROWS * _CUT_ROWS
         prev, final = np.full(m, math.inf), np.zeros(m, dtype=bool)
         # the slice j0:j1 of columns in play; none is final before row test
         j0, j1, r, test = 0, m, 0, int(tail.min())
@@ -321,11 +323,10 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
                 d = prev[j0:j1]
                 final[j0:j1] |= ((tail[j0:j1] <= r) & (d >= 0.0)
                                  & (d * d >= (1.0 + _SLACK) ** 2 * c2))
-                live = ~final[j0:j1]  # argmax: the first live one
-                if not live.any():
+                live = (~final[j0:j1]).nonzero()[0]
+                if not live.size:
                     break
-                j1 -= int(live[::-1].argmax())
-                j0 += int(live.argmax())
+                j0, j1 = j0 + int(live[0]), j0 + int(live[-1]) + 1
                 test = max(r + _CUT_ROWS, int(tail[j0:j1].min()))
             narrow = j1 - j0 <= _NARROW
             # the last columns finish alone, a _COEFF_ROWS block at a time
@@ -333,7 +334,7 @@ def mode_counts(a, w, q, h: float, ells, lam) -> np.ndarray:
                   else min(n, r + max(1, _BLOCK_CELLS // (j1 - j0)), test))
             alpha = alphas(slice(r, hi), slice(j0, j1))
             if narrow:
-                for j in j0 + np.flatnonzero(~final[j0:j1]):
+                for j in j0 + (~final[j0:j1]).nonzero()[0]:
                     k, prev[j], final[j] = _cut_sweep(
                         alpha[:, j - j0].tolist(), c2, float(prev[j]), tail[j] - r)
                     counts[j] += k

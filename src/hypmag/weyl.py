@@ -100,11 +100,12 @@ def _pieces(end, span, cuts):
     there.  One loop finds all roots, starting where the chord of f in
     cosh t (funnel) or e^t (cusp) crosses zero: the root if b~ has degree 1.
     A step moves the bracket end with f's sign to the current point, then
-    goes to the Newton point of f (slope from profile_dt) if that lies
-    strictly inside the bracket, else to the midpoint.  A root is final,
-    and stays put, once its Newton step rounds to zero, f = 0, or no float
-    lies strictly inside its bracket.  A RuntimeError reports a piece where
-    the band or sign of b~ just inside its ends differs from its midpoint's."""
+    goes to the Newton point of f (f and its slope from one evaluation,
+    profile_and_dt) if that lies strictly inside the bracket, else to the
+    midpoint.  A root is final, and stays put, once its Newton step rounds
+    to zero, f = 0, or no float lies strictly inside its bracket.  A
+    RuntimeError reports a piece where the band or sign of b~ just inside
+    its ends differs from its midpoint's."""
     t, b = span
     if t.size == 0:
         return t, b
@@ -132,10 +133,12 @@ def _pieces(end, span, cuts):
         x = T(X(lo) + (X(hi) - X(lo)) * (f_lo / (f_lo - f_hi)))
         x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
         while x.size:
-            f = s * eval_field(end, x) - c
+            # f and newton hold b~ and its slope first
+            f, newton = end.field.profile_and_dt(x)
+            f = s * f - c
+            newton = x - f / (s * newton)
             right = (f < 0.0) == neg
             lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-            newton = x - f / (s * end.field.profile_dt(x))
             mid = 0.5 * (lo + hi)
             done = (newton == x) | (f == 0.0) | ~((lo < mid) & (mid < hi))
             if done.all():

@@ -12,7 +12,7 @@ from conftest import make_cusp, make_funnel
 from hypmag import (CuspEnd, DomainError, FunnelEnd, NonConstantFieldError,
                     RadialField, SurfaceEnds, check_growth_hypotheses,
                     cusp_area, eval_field, gauge_function, gauge_limit)
-from hypmag.model import CUSP_KIND, FUNNEL_KIND
+from hypmag.model import CUSP_KIND, FUNNEL_KIND, _radii, last_crossing
 
 
 def gauge_by_quadrature(end, t: float) -> float:
@@ -73,6 +73,22 @@ class TestRadialField:
     def test_constant_profile_has_zero_derivative(self):
         f = RadialField(CUSP_KIND, (4.0,))
         assert np.all(f.profile_dt(np.linspace(0, 5, 7)) == 0.0)
+
+    def test_profile_and_dt_against_polyval(self):
+        # b~ and db~/dt from numpy's polynomial evaluation in x = cosh t or
+        # e^t, the slope by the chain rule with dx/dt = sinh t or e^t
+        ts = np.linspace(0.1, 3.0, 11)
+        for kind, coeffs in [(FUNNEL_KIND, (0.5, -1.0, 2.0)),
+                             (CUSP_KIND, (1.0, 0.3, 0.0, -0.2)),
+                             (CUSP_KIND, (4.0,))]:
+            f = RadialField(kind, coeffs)
+            x, dx = ((np.cosh(ts), np.sinh(ts)) if kind == FUNNEL_KIND
+                     else (np.exp(ts), np.exp(ts)))
+            b, db = f.profile_and_dt(ts)
+            P = np.polynomial.Polynomial(coeffs)
+            assert np.allclose(b, P(x), rtol=1e-13, atol=0.0)
+            assert np.allclose(db, P.deriv()(x) * dx, rtol=1e-13, atol=0.0)
+            assert np.array_equal(b, f.profile(ts))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +155,15 @@ class TestEnds:
                            r"\(needs t >= t0 = 0\.5\)$"):
             eval_field(end, np.array([1.0, 0.4, 0.45]))
 
+    @pytest.mark.parametrize("end", [make_funnel([0.5, 1.0], t0=0.5),
+                                     make_cusp([0.0, 1.0, 2.0], t0=-1.0)])
+    def test_empty_arrays(self, end):
+        # like RadialField.profile, both work on an array with no points
+        for f in (eval_field, gauge_function):
+            out = f(end, np.array([]))
+            assert isinstance(out, np.ndarray)
+            assert out.shape == (0,) and out.dtype == np.float64
+
 
 class TestGauge:
     cases = [
@@ -172,6 +197,86 @@ class TestGauge:
         end = make_cusp([0.0, 1.0], t0=1.0)
         with pytest.raises(DomainError):
             gauge_function(end, 0.0)
+
+    def test_funnel_closed_forms(self):
+        # a' = -tau cosh^{n+1} t for b~ = cosh^n t, with t0 > 0:
+        # int cosh^2 = t/2 + sinh(2t)/4, int cosh^3 = sinh t + sinh^3 t / 3
+        tau, t0, xi = 0.7, 0.6, 0.3
+        ts = np.linspace(t0, t0 + 5.0, 40).reshape(8, -1)
+        cosh1 = xi - tau * ((ts - t0) / 2.0
+                            + (np.sinh(2.0 * ts) - np.sinh(2.0 * t0)) / 4.0)
+        cosh2 = xi - tau * (np.sinh(ts) - math.sinh(t0)
+                            + (np.sinh(ts) ** 3 - math.sinh(t0) ** 3) / 3.0)
+        for coeffs, exact in (([0.0, 1.0], cosh1), ([0.0, 0.0, 1.0], cosh2)):
+            end = make_funnel(coeffs, tau=tau, t0=t0, xi=xi)
+            got = gauge_function(end, ts)
+            assert got.shape == ts.shape
+            assert np.allclose(got, exact, rtol=1e-13, atol=1e-13)
+            assert gauge_function(end, float(ts[-1, -1])) == pytest.approx(
+                exact[-1, -1], rel=1e-13)
+
+
+def radii_by_roots(end, *polys):
+    """The radii of _radii from np.roots, one polynomial at a time."""
+    out = []
+    for poly in polys:
+        x = np.roots(np.asarray(poly, dtype=float)[::-1])
+        x = np.where(np.abs(x.imag) <= 1e-6 * (1.0 + np.abs(x.real)),
+                     x.real, np.abs(x))
+        t = (np.arccosh(x[x >= 1.0]) if isinstance(end, FunnelEnd)
+             else np.log(x[x > 0.0]))
+        out.append(t[t > end.t0])
+    return np.sort(np.concatenate(out))
+
+
+class TestRadii:
+    """_radii stacks the companion matrices into one eigvals call; the
+    radii must be those of np.roots, bit for bit."""
+
+    def random_polys(self, rng):
+        for _ in range(400):
+            deg = int(rng.integers(0, 7))
+            polys = []
+            for _ in range(int(rng.integers(1, 4))):
+                c = rng.normal(0.0, 5.0, deg + 1)
+                c[rng.random(deg + 1) < 0.2] = 0.0  # zero ends and holes
+                polys.append(tuple(c))
+            yield polys
+
+    @pytest.mark.parametrize("make", [make_funnel, make_cusp])
+    def test_matches_roots(self, make):
+        rng = np.random.default_rng(15)
+        end = make([0.0, 1.0], t0=0.2)
+        for polys in self.random_polys(rng):
+            assert np.array_equal(np.sort(_radii(end, *polys)),
+                                  radii_by_roots(end, *polys))
+
+    def test_edge_polynomials(self):
+        end = make_cusp([0.0, 1.0], t0=-3.0)
+        cases = [(3.0,), (0.0,), (0.0, 0.0), (0.0, 2.0), (0.0, 0.0, 1.0),
+                 (-2.0, 1.0, 0.0, 0.0), (0.0, -4.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
+        for poly in cases:
+            assert np.array_equal(np.sort(_radii(end, poly)),
+                                  radii_by_roots(end, poly))
+        assert _radii(end, (3.0,)).size == 0
+
+    @pytest.mark.parametrize("make", [make_funnel, make_cusp])
+    def test_last_crossing_matches_roots(self, make):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            deg = int(rng.integers(1, 7))
+            c = list(rng.normal(0.0, 5.0, deg + 1))
+            c[-1] = abs(c[-1]) + 0.5
+            if rng.random() < 0.3:
+                c[0] = 0.0
+            end = make(c, t0=float(rng.uniform(0.0, 1.0)))
+            level = abs(c[0]) if rng.random() < 0.3 else float(rng.uniform(1.0, 400.0))
+            if level == 0.0:
+                level = 1.0
+            # |b~| = level where b~ -+ level has a root
+            polys = [(c[0] - s,) + tuple(c[1:]) for s in (level, -level)]
+            expected = float(np.max(radii_by_roots(end, *polys), initial=end.t0))
+            assert last_crossing(end, level) == expected
 
 
 class TestGaugeLimit:

@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import make_cusp, make_funnel
-from hypmag import (BoundedFieldError, FunnelEnd, SurfaceEnds, WeylOptions,
-                    check_hypW, eval_field, fit_exponent, landau_count, omega,
-                    theorem1_bracket, weyl_integral)
+from hypmag import (BoundedFieldError, FunnelEnd, RadialField, SurfaceEnds,
+                    WeylOptions, check_hypW, eval_field, fit_exponent,
+                    landau_count, omega, theorem1_bracket, weyl_integral)
 from hypmag import weyl
 
 
@@ -211,13 +211,20 @@ class TestOmega:
     def test_few_field_evaluations(self, monkeypatch):
         # b~ is linear in cosh t or e^t, so the chord there lands on the
         # crossing: one evaluation on the cell ends t0 and t_end, one Newton
-        # round that moves nothing, three points inside each of the two pieces
+        # round that moves nothing (b~ and its slope in one evaluation),
+        # three points inside each of the two pieces
         sizes, evaluate = [], weyl.eval_field
+        with_slope = RadialField.profile_and_dt
 
         def counted(end, t):
             sizes.append(np.size(t))
             return evaluate(end, t)
+
+        def counted_with_slope(field, t):
+            sizes.append(np.size(t))
+            return with_slope(field, t)
         monkeypatch.setattr(weyl, "eval_field", counted)
+        monkeypatch.setattr(RadialField, "profile_and_dt", counted_with_slope)
         for end in (make_funnel([0.0, 1.0]), make_cusp([0.0, 1.0])):
             for mu in (10.0, 1000.0):
                 sizes.clear()
