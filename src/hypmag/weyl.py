@@ -13,9 +13,10 @@ zero of b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in
 for the levels.  One vectorised loop of Newton steps, each replaced by
 the midpoint where it would leave its bracket, finds every crossing in
 the cells between t0, the turning points of b~ and the end of the range,
-on each of which b~ is monotone.  The bracket for
-admissible (delta, C) integrates its weights over the same pieces by
-Gauss-Legendre.  Also here: the sublevel areas omega, all of them from
+on each of which b~ is monotone.  The bracket for admissible (delta, C)
+integrates the weights of both bounds by Gauss-Legendre in one pass per
+end: one span, one set of pieces on both bounds' cuts, one evaluation of
+b~ per node.  Also here: the sublevel areas omega, all of them from
 one pass per end, their doubling check, and log-log exponent fits.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -35,7 +37,6 @@ _MAX_PIECES = 4 * _MAX_LEVELS  # pieces held at once, four per Landau level
 _ROUNDS = 8             # cutoff reductions before the kink bound gives up
 _HALVINGS = 40          # Gauss-Legendre halvings before giving up
 _BLOCK = 1 << 14        # pieces per Gauss-Legendre evaluation
-_GAUSS = [np.polynomial.legendre.leggauss(m) for m in (16, 32)]
 
 
 @dataclass(frozen=True)
@@ -156,81 +157,115 @@ def _pieces(end, span, cuts):
     return edges, b[1]
 
 
-def _gauss(end, lo, hi, coef, bound, weight, quad_tol: float) -> float:
-    """sum_j coef_j int w(|b~|) rho (|b~| if not bound_j) dt on piece j, by
-    Gauss-Legendre with 32 nodes, checked against 16; a piece whose rules
-    differ by more than its share of half of quad_tol is halved."""
-    span, total, out = float(hi[-1] - lo[0]), None, 0.0
+@cache  # built at first use: numpy.polynomial is not imported with numpy
+def _rules():
+    return [np.polynomial.legendre.leggauss(m) for m in (16, 32)]
+
+
+def _gauss(end, lo, hi, coef, bound, weights, quad_tol: float) -> np.ndarray:
+    """sum_j coef_ij int w_i(|b~|) rho (|b~| if not bound_ij) dt on piece j,
+    w_i = 1 if None, by Gauss-Legendre with 32 nodes, checked against 16, for
+    all rows i on one evaluation of b~ and rho; a piece is halved for the rows
+    whose rules there differ by more than its share of half of quad_tol."""
+    span, total, out = float(hi[-1] - lo[0]), None, np.zeros(len(weights))
     for _ in range(_HALVINGS):
-        rules = np.empty((2, lo.size))
+        rules = np.empty((2, len(weights), lo.size))
         for i in range(0, lo.size, _BLOCK):
             part = slice(i, i + _BLOCK)
             mid, half = 0.5 * (lo + hi)[part], 0.5 * (hi - lo)[part]
-            for r, (x, wx) in enumerate(_GAUSS):
+            for r, (x, wx) in enumerate(_rules()):
                 t = mid[:, None] + half[:, None] * x
                 v = np.abs(np.asarray(eval_field(end, t)))
                 rho = (end.tau * np.cosh(t) if isinstance(end, FunnelEnd)
                        else end.L * np.exp(-t))
-                f = weight(v) * rho * np.where(bound[part, None], 1.0, v)
-                rules[r, part] = coef[part] * half * (f @ wx)
-        total = abs(float(rules[1].sum())) if total is None else total
+                for q, w in enumerate(weights):
+                    f = (w(v) * rho if w else rho) * np.where(bound[q, part, None], 1.0, v)
+                    rules[r, q, part] = coef[q, part] * half * (f @ wx)
+        total = np.abs(rules[1].sum(axis=1)) if total is None else total
         ok = np.abs(rules[1] - rules[0]) <= 0.25 * quad_tol * (
-            np.abs(rules[1]) + total * (hi - lo) / span)
-        out += float(rules[1][ok].sum())
-        bad = ~ok
+            np.abs(rules[1]) + total[:, None] * (hi - lo) / span)
+        out += [float(row[keep].sum()) for row, keep in zip(rules[1], ok)]
+        bad = ~ok.all(axis=0)
         if not bad.any() or 2 * np.count_nonzero(bad) > _MAX_PIECES:
             break
         mid = 0.5 * (lo[bad] + hi[bad])
         lo, hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
-        coef, bound = np.tile(coef[bad], 2), np.tile(bound[bad], 2)
+        coef = np.tile(np.where(ok, 0.0, coef)[:, bad], 2)
+        bound = np.tile(bound[:, bad], 2)
     if bad.any():
         raise RuntimeError("Gauss-Legendre rules still disagree on "
                            f"{np.count_nonzero(bad)} pieces; quad_tol is too tight")
     return out
 
 
-def _integral_over_end(end, mu: float, quad_tol: float, weight=None, kink=None):
-    """int N(mu, |b~|) w(|b~|) rho dt over the end; w = 1 if weight is None.
+def _integral_over_end(end, integrands, quad_tol: float) -> list[float]:
+    """int N(mu, |b~|) w(|b~|) rho dt over the end for each (mu, w, kink) of
+    integrands (w = 1 if None), from one pass shared by all of them.
 
-    The cuts are the levels above beta (below all levels if they fit in
-    memory), beta, and the kink of w.  Pieces above beta count k |Delta a|
-    (times w: Gauss-Legendre, as also if rounding in a would not fit
-    quad_tol), the others mu/2 times their area within max w |Delta a|/2.
+    The span is that of the largest mu: past its own t_end an integrand has
+    k = 0, and one with mu <= 0 is 0.  The cuts are each integrand's levels
+    above its cutoff beta (below all levels if they fit in memory), beta,
+    and the kink of w.  Pieces above beta count k |Delta a| (times w:
+    Gauss-Legendre, as also if rounding in a would not fit quad_tol), the
+    others mu/2 times their area within max w |Delta a|/2; the pass is re-run
+    with a lower beta for each integrand above half of quad_tol.
     """
-    t, b = span = _span(end, mu)
+    out = [0.0] * len(integrands)
+    t, b = span = _span(end, max(mu for mu, _, _ in integrands))
     if t.size == 0:
-        return 0.0
+        return out
+    live = [q for q, (mu, _, _) in enumerate(integrands) if mu > 0.0]
+    mus, weights, kinks = zip(*[integrands[q] for q in live])
     bmin = 0.0 if np.any(b[:-1] * b[1:] <= 0.0) else float(np.min(np.abs(b)))
-    beta = 0.5 * bmin if mu * 16 < bmin * _MAX_PIECES else 0.25 * mu * quad_tol ** 0.5
+    betas = [0.5 * bmin if mu * 16 < bmin * _MAX_PIECES else 0.25 * mu * quad_tol ** 0.5
+             for mu in mus]
     # gauge_function of this end sums the sizes of the terms of a
     sizes = replace(end, xi=-abs(end.xi), field=RadialField(
         end.field.kind, tuple(abs(c) for c in end.field.coeffs)))
     for _ in range(_ROUNDS):
-        if mu > beta * _MAX_PIECES / 2:
-            raise RuntimeError(f"more than {_MAX_LEVELS} Landau levels "
-                               f"above {beta}; lower lambda or raise quad_tol")
-        levels = mu / (2.0 * np.arange(int(mu / beta) // 2 + 1) + 1.0)
-        cuts = [*levels[levels > beta], beta] + ([kink] if kink else [])
-        edges, b = _pieces(end, span, cuts)
+        cuts = []
+        for mu, beta, kink in zip(mus, betas, kinks):
+            if mu > beta * _MAX_PIECES / 2:
+                raise RuntimeError(f"more than {_MAX_LEVELS} Landau levels "
+                                   f"above {beta}; lower lambda or raise quad_tol")
+            levels = mu / (2.0 * np.arange(int(mu / beta) // 2 + 1) + 1.0)
+            cuts += [levels[levels > beta], [beta, kink] if kink else [beta]]
+        edges, b = _pieces(end, span, np.concatenate(cuts))
         lo, hi, v = edges[:-1], edges[1:], np.abs(b)
         # int |b~| rho dt on each piece; signed differences telescope, so
         # the rounding of a does not pile up over many narrow pieces
         da = -np.sign(b) * np.diff(gauge_function(end, edges))
-        bound = v < beta
-        with np.errstate(divide="ignore"):
-            k = np.maximum(np.ceil((mu - v) / (2.0 * v)), 0.0)
-        coef = np.where(bound, 0.5 * mu, k)
-        total = float(np.sum(coef * np.where(bound, _area(end, lo, hi), da)))
+        area, bound, coef, total, err = None, [], [], [], []
+        for mu, beta, w in zip(mus, betas, weights):
+            low = v < beta
+            with np.errstate(divide="ignore"):
+                c = np.maximum(np.ceil((mu - v) / (2.0 * v)), 0.0)
+            if low.any():  # pieces below the cutoff: b~ vanishes or levels crowd
+                area = _area(end, lo, hi) if area is None else area
+                c = np.where(low, 0.5 * mu, c)
+                total.append(float(np.sum(c * np.where(low, area, da))))
+                wmax = float(max(w(0.0), w(beta))) if w else 1.0
+                err.append(0.5 * wmax * float(np.sum(da[low])))
+            else:
+                total.append(float(np.sum(c * da)))
+                err.append(0.0)
+            bound.append(low)
+            coef.append(c)
         # a at each edge enters that sum about once, as the level count steps
-        rounding = 4e-16 * edges.size * np.max(np.abs(gauge_function(sizes, edges)))
-        if weight or rounding > 0.5 * quad_tol * abs(total):
-            total = _gauss(end, lo, hi, coef, bound, weight or (lambda v: 1.0), quad_tol)
-        wmax = float(max(weight(0.0), weight(beta))) if weight else 1.0
-        err = 0.5 * wmax * float(np.sum(da[bound]))
-        budget = 0.5 * quad_tol * abs(total)
-        if err <= budget:
-            return total
-        beta *= min(0.5, 0.9 * math.sqrt(budget / err))
+        if any(weights) or 4e-16 * edges.size * np.max(np.abs(gauge_function(
+                sizes, edges))) > 0.5 * quad_tol * min(map(abs, total)):
+            total = _gauss(end, lo, hi, np.array(coef), np.array(bound), weights,
+                           quad_tol).tolist()
+        miss = False
+        for q, total_q in enumerate(total):
+            budget = 0.5 * quad_tol * abs(total_q)
+            if err[q] > budget:
+                betas[q] *= min(0.5, 0.9 * math.sqrt(budget / err[q]))
+                miss = True
+        if not miss:
+            for q, i in enumerate(live):
+                out[i] = total[q]
+            return out
     raise RuntimeError("unresolved Landau levels near a zero of b~ exceed "
                        f"quad_tol after {_ROUNDS} cutoff reductions")
 
@@ -239,7 +274,8 @@ def weyl_integral(ends, lam: float, opts: WeylOptions | None = None) -> float:
     """Semiclassical eigenvalue count below lam, summed over the given ends."""
     opts = opts or WeylOptions()
     mu = finite("lam", lam) - 0.25
-    return sum(_integral_over_end(end, mu, opts.quad_tol) for end in _end_list(ends))
+    return sum(_integral_over_end(end, [(mu, None, None)], opts.quad_tol)[0]
+               for end in _end_list(ends))
 
 
 def _omegas(ends, mus) -> list[float]:
@@ -312,16 +348,17 @@ def theorem1_bracket(ends, lam: float, opts: WeylOptions | None = None) -> tuple
     p = (2.0 - 5.0 * opts.delta) / 2.0
     shift = C * lam ** (1.0 - 3.0 * opts.delta)
 
-    def total(mu, weight=None, kink=None):
-        return sum(_integral_over_end(e, mu, opts.quad_tol, weight, kink) for e in ends)
-
     if C == 0.0:
-        return (total(lam - 0.25),) * 2
-    # the lower weight reaches 0 at b = C^(1/p) - 1
-    kink = math.exp(min(math.log(C) / p, 700.0)) - 1.0 if C > 1.0 else None
-    lower = total(lam * (1.0 - shift) - 0.25,
-                  lambda b: np.maximum(0.0, 1.0 - C / (b + 1.0) ** p), kink)
-    upper = total(lam * (1.0 + shift) - 0.25, lambda b: 1.0 + C / (b + 1.0) ** p)
+        integrands = [(lam - 0.25, None, None)]
+    else:
+        # the lower weight reaches 0 at b = C^(1/p) - 1
+        kink = math.exp(min(math.log(C) / p, 700.0)) - 1.0 if C > 1.0 else None
+        integrands = [
+            (lam * (1.0 - shift) - 0.25,
+             lambda b: np.maximum(0.0, 1.0 - C / (b + 1.0) ** p), kink),
+            (lam * (1.0 + shift) - 0.25, lambda b: 1.0 + C / (b + 1.0) ** p, None)]
+    totals = [_integral_over_end(e, integrands, opts.quad_tol) for e in ends]
+    lower, upper = (sum(t[q] for t in totals) for q in (0, -1))
     return min(lower, upper), upper
 
 

@@ -171,9 +171,9 @@ class TestDeterministicOutput:
 
 COMPARE_CSV = (
     "lambda,count,weyl,lower,upper,ratio,converged\r\n"
-    "50,21,24.529779375321166,0.5421799386353703,83.31324407848444,"
+    "50,21,24.529779375321166,0.5421799386353702,83.31324407848444,"
     "0.8561022779164336,true\r\n"
-    "100,46,49.529103212705444,1.4259178489503508,164.80079733793022,"
+    "100,46,49.529103212705444,1.425917848950351,164.80079733793022,"
     "0.9287468784252055,true\r\n"
 )
 

@@ -48,6 +48,25 @@ def funnel_bracket_quad(end, mu: float, weight, kink: float = 0.0) -> float:
     return total
 
 
+def cusp_bracket_quad(end, mu: float, weight, kink: float = 0.0) -> float:
+    """int N(mu, b) w(b) L e^{-t} dt for b~ = c0 + c1 e^t > 0, by quad on
+    each piece between the level crossings e^t = (mu/(2k+1) - c0)/c1 (and
+    the weight's kink)."""
+    c0, c1 = end.field.coeffs
+    cuts = [mu / (2 * k + 1) for k in range(int(mu))] + [kink]
+    edges = sorted({end.t0} | {math.log((nu - c0) / c1) for nu in cuts
+                               if (nu - c0) / c1 > math.exp(end.t0)})
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = c0 + c1 * math.exp(0.5 * (lo + hi))
+        k = sum(1 for j in range(int(mu)) if (2 * j + 1) * mid < mu)
+        if k:
+            total += quad(lambda t: k * (c0 + c1 * math.exp(t))
+                          * weight(c0 + c1 * math.exp(t)) * end.L * math.exp(-t),
+                          lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+    return total
+
+
 def funnel_cosh_omega(mu: float, tau: float) -> float:
     """Area of {cosh t < mu} on a funnel with t0 = 0."""
     if mu <= 1.0:
@@ -100,9 +119,9 @@ class TestWeylIntegral:
             rules.append(t.shape)
             return eval_field(end, t)
         monkeypatch.setattr(weyl, "eval_field", counted)
-        got = weyl._gauss(make_funnel([0.0, 1.0]), np.array([0.0]),
-                          np.array([60.0]), np.array([1.0]), np.array([True]),
-                          lambda v: 1.0, quad_tol)
+        got, = weyl._gauss(make_funnel([0.0, 1.0]), np.array([0.0]),
+                           np.array([60.0]), np.array([[1.0]]), np.array([[True]]),
+                           [lambda v: 1.0], quad_tol)
         assert len(rules) > 2
         assert got == pytest.approx(math.sinh(60.0), rel=quad_tol)
 
@@ -352,11 +371,18 @@ class TestBracket:
         end = make_cusp([0.0, 1.0])
         lam = 100.0
         w = weyl_integral(end, lam)
+        empty = []
         for C in (0.0, 0.3, 1.0, 2.5, 10.0):
-            lower, upper = theorem1_bracket(end, lam, WeylOptions(bracket_C=C))
+            opts = WeylOptions(bracket_C=C)
+            lower, upper = theorem1_bracket(end, lam, opts)
             assert lower <= w + 1e-9 * abs(w)
             assert w <= upper + 1e-9 * abs(upper)
             assert lower <= upper
+            # N(mu, b) = 0 for mu <= 0: the lower bound is exactly zero
+            if lam * (1.0 - C * lam ** (1.0 - 3.0 * opts.delta)) - 0.25 <= 0.0:
+                assert lower == 0.0
+                empty.append(C)
+        assert empty == [2.5, 10.0]
 
     def test_C_zero_collapses_to_integral(self):
         end = make_cusp([0.0, 1.0])
@@ -380,6 +406,8 @@ class TestBracket:
         (make_funnel([0.0, 1.0]), 200.0, 1.0),
         (make_funnel([0.0, 1.0]), 200.0, 1.2),
         (make_funnel([0.5, 1.0], tau=0.7, t0=0.1, xi=0.3), 100.0, 1.0),
+        (make_cusp([0.0, 1.0]), 50.0, 1.0),
+        (make_cusp([0.0, 1.0]), 100.0, 1.0),
     ])
     def test_matches_piecewise_quad(self, end, lam, C):
         # for C = 1.2 the lower weight reaches 0 at b = C^(1/p) - 1 = 3.3
@@ -387,28 +415,59 @@ class TestBracket:
         lower, upper = theorem1_bracket(end, lam, opts)
         p = (2.0 - 5.0 * opts.delta) / 2.0
         shift = C * lam ** (1.0 - 3.0 * opts.delta)
-        assert lower == pytest.approx(funnel_bracket_quad(
+        oracle = funnel_bracket_quad if isinstance(end, FunnelEnd) else cusp_bracket_quad
+        assert lower == pytest.approx(oracle(
             end, lam * (1.0 - shift) - 0.25,
             lambda b: max(0.0, 1.0 - C / (b + 1.0) ** p), C ** (1.0 / p) - 1.0),
             rel=1e-7)
-        assert upper == pytest.approx(funnel_bracket_quad(
+        assert upper == pytest.approx(oracle(
             end, lam * (1.0 + shift) - 0.25, lambda b: 1.0 + C / (b + 1.0) ** p),
             rel=1e-7)
 
+    def test_one_pass_per_end(self, monkeypatch):
+        # both bounds share each end's _span, at the upper threshold, and
+        # its _pieces; no cutoff is reduced on these fields
+        calls, span, pieces = [], weyl._span, weyl._pieces
+
+        def counted_span(end, mu):
+            calls.append(("span", end, mu))
+            return span(end, mu)
+
+        def counted_pieces(end, s, cuts):
+            calls.append(("pieces", end, None))
+            return pieces(end, s, cuts)
+        monkeypatch.setattr(weyl, "_span", counted_span)
+        monkeypatch.setattr(weyl, "_pieces", counted_pieces)
+        ends = [make_funnel([0.0, 1.0]), make_cusp([0.0, 1.0]),
+                make_funnel([0.5, 1.0], tau=0.7, t0=0.1, xi=0.3)]
+        lam = 100.0
+        for C in (0.0, 1.0, 1.2, 10.0):
+            calls.clear()
+            opts = WeylOptions(bracket_C=C)
+            theorem1_bracket(ends, lam, opts)
+            mu = lam * (1.0 + C * lam ** (1.0 - 3.0 * opts.delta)) - 0.25
+            assert calls == [c for end in ends
+                             for c in (("span", end, mu), ("pieces", end, None))]
+
     def test_sign_changing_cusp_matches_trapezoid(self, monkeypatch):
         # b~ = y - 4 vanishes at t = ln 4; the unresolved levels there
-        # exceed quad_tol at the first cutoff, which is reduced (a second
-        # _pieces pass for one of the two bounds)
-        passes, pieces = [], weyl._pieces
+        # exceed quad_tol at the first cutoff, which is reduced: a second
+        # shared _pieces pass, with more cuts than the first, on one _span
+        passes, spans, pieces, span = [], [], weyl._pieces, weyl._span
 
         def counted(end, span, cuts):
             passes.append(len(cuts))
             return pieces(end, span, cuts)
+
+        def counted_span(end, mu):
+            spans.append(mu)
+            return span(end, mu)
         monkeypatch.setattr(weyl, "_pieces", counted)
+        monkeypatch.setattr(weyl, "_span", counted_span)
         end, lam, C = make_cusp([-4.0, 1.0], xi=0.2), 100.0, 1.0
         opts = WeylOptions(bracket_C=C)
         lower, upper = theorem1_bracket(end, lam, opts)
-        assert len(passes) > 2
+        assert len(passes) > 1 and passes[1] > passes[0] and len(spans) == 1
         assert lower <= weyl_integral(end, lam, opts) <= upper
         p = (2.0 - 5.0 * opts.delta) / 2.0
         shift = C * lam ** (1.0 - 3.0 * opts.delta)
