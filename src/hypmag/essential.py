@@ -253,18 +253,3 @@ def funnel_mode_limit_check(beta: float, rhos) -> LimitReport:
     distances = tuple(abs(e - limit) for e in lowest)
     return LimitReport(beta=beta, rho=tuple(rhos), lowest=tuple(lowest),
                        limit=limit, distances=distances)
-
-
-__all__ = [
-    "INTEGER_TOL",
-    "SpectrumSet",
-    "MorseOptions",
-    "MorseReport",
-    "LimitReport",
-    "holonomy",
-    "cusp_is_integral",
-    "essential_spectrum",
-    "funnel_limit_potential",
-    "morse_check",
-    "funnel_mode_limit_check",
-]

@@ -102,7 +102,8 @@ class RadialField:
 
     def profile_and_dt(self, t):
         """(b~, d/dt b~) at t, from one cosh and sinh pass (funnel) or one
-        e^t pass (cusp); b~ equals profile(t) to the bit."""
+        e^t pass (cusp, where d/dt b~ = y db~/dy, the slope in the growth
+        hypothesis); b~ equals profile(t) to the bit."""
         t = np.asarray(t, dtype=float)
         if self.kind == FUNNEL_KIND:
             x, dx = np.cosh(t), np.sinh(t)
@@ -112,14 +113,6 @@ class RadialField:
         dcoeffs = tuple(i * c for i, c in enumerate(self.coeffs))[1:]
         db = self._horner(dcoeffs, x) * dx if dcoeffs else np.zeros_like(t)
         return self._horner(self.coeffs, x), db
-
-    def profile_dt(self, t):
-        """d/dt of the profile.
-
-        For cusp profiles this equals y db~/dy at y = e^t, which is the
-        quantity entering the growth hypothesis there.
-        """
-        return self.profile_and_dt(t)[1]
 
 
 @dataclass(frozen=True)

@@ -8,16 +8,18 @@ The semiclassical count of the Dirichlet eigenvalues below lambda is
 with rho the area density (tau cosh t on funnels, L e^{-t} on cusps).
 N(mu, b) = k b is constant in k = #{j : (2j+1) b < mu} between the zeros
 of b~ and the crossings |b~| = mu/(2k+1), and a' = -rho b~ for the gauge
-a, so the integral is sum k |a(hi) - a(lo)| over these pieces.  Near a
-zero of b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in
-for the levels.  One vectorised loop of Newton steps, each replaced by
-the midpoint where it would leave its bracket, finds every crossing in
-the cells between t0, the turning points of b~ and the end of the range,
-on each of which b~ is monotone.  The bracket for admissible (delta, C)
+a, so the integral is sum k |a(hi) - a(lo)| over these pieces, or their
+Gauss-Legendre sum where the rounding of a, 4e-16 of its size at the end
+of the range per edge, could exceed half of quad_tol.  Near a zero of
+b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in for the
+levels.  One vectorised loop of Newton steps, each replaced by the
+midpoint where it would leave its bracket, finds every crossing in the
+cells between t0, the turning points of b~ and the end of the range, on
+each of which b~ is monotone.  The bracket for admissible (delta, C)
 integrates the weights of both bounds by Gauss-Legendre in one pass per
 end: one span, one set of pieces on both bounds' cuts, one evaluation of
-b~ per node.  Also here: the sublevel areas omega, all of them from
-one pass per end, their doubling check, and log-log exponent fits.
+b~ per node.  Also here: the sublevel areas omega, all of them from one
+pass per end, their doubling check, and log-log exponent fits.
 """
 
 from __future__ import annotations
@@ -87,9 +89,8 @@ def _span(end, mu: float):
     t_end = last_crossing(end, max(2.0 * mu, mu + 1.0))
     if mu <= 0.0 or t_end == end.t0:
         return np.empty(0), np.empty(0)
-    c = end.field.coeffs[1:end.field.degree + 1]
-    turns = _radii(end, np.arange(1, len(c) + 1) * np.array(c))
-    t = np.union1d([end.t0, t_end], turns[turns < t_end])
+    turns = _radii(end, [i * c for i, c in enumerate(end.field.coeffs)][1:])
+    t = np.concatenate([[end.t0], np.sort(turns[turns < t_end]), [t_end]])
     return t, np.asarray(eval_field(end, t), dtype=float)
 
 
@@ -219,9 +220,10 @@ def _integral_over_end(end, integrands, quad_tol: float) -> list[float]:
     bmin = 0.0 if np.any(b[:-1] * b[1:] <= 0.0) else float(np.min(np.abs(b)))
     betas = [0.5 * bmin if mu * 16 < bmin * _MAX_PIECES else 0.25 * mu * quad_tol ** 0.5
              for mu in mus]
-    # gauge_function of this end sums the sizes of the terms of a
-    sizes = replace(end, xi=-abs(end.xi), field=RadialField(
-        end.field.kind, tuple(abs(c) for c in end.field.coeffs)))
+    # gauge_function of this end sums the sizes of the terms of a; each
+    # term grows in size with t, so their sum is largest at t_end
+    a_max = abs(gauge_function(replace(end, xi=-abs(end.xi), field=RadialField(
+        end.field.kind, tuple(abs(c) for c in end.field.coeffs))), t[-1]))
     for _ in range(_ROUNDS):
         cuts = []
         for mu, beta, kink in zip(mus, betas, kinks):
@@ -235,27 +237,19 @@ def _integral_over_end(end, integrands, quad_tol: float) -> list[float]:
         # int |b~| rho dt on each piece; signed differences telescope, so
         # the rounding of a does not pile up over many narrow pieces
         da = -np.sign(b) * np.diff(gauge_function(end, edges))
-        area, bound, coef, total, err = None, [], [], [], []
+        area, coef, total, err = _area(end, lo, hi), [], [], []
         for mu, beta, w in zip(mus, betas, weights):
-            low = v < beta
+            low = v < beta  # pieces below the cutoff: b~ vanishes or levels crowd
             with np.errstate(divide="ignore"):
-                c = np.maximum(np.ceil((mu - v) / (2.0 * v)), 0.0)
-            if low.any():  # pieces below the cutoff: b~ vanishes or levels crowd
-                area = _area(end, lo, hi) if area is None else area
-                c = np.where(low, 0.5 * mu, c)
-                total.append(float(np.sum(c * np.where(low, area, da))))
-                wmax = float(max(w(0.0), w(beta))) if w else 1.0
-                err.append(0.5 * wmax * float(np.sum(da[low])))
-            else:
-                total.append(float(np.sum(c * da)))
-                err.append(0.0)
-            bound.append(low)
+                c = np.where(low, 0.5 * mu, np.maximum(np.ceil((mu - v) / (2.0 * v)), 0.0))
+            total.append(float(np.sum(c * np.where(low, area, da))))
+            wmax = float(max(w(0.0), w(beta))) if w else 1.0
+            err.append(0.5 * wmax * float(np.sum(da[low])))
             coef.append(c)
         # a at each edge enters that sum about once, as the level count steps
-        if any(weights) or 4e-16 * edges.size * np.max(np.abs(gauge_function(
-                sizes, edges))) > 0.5 * quad_tol * min(map(abs, total)):
-            total = _gauss(end, lo, hi, np.array(coef), np.array(bound), weights,
-                           quad_tol).tolist()
+        if any(weights) or 4e-16 * edges.size * a_max > 0.5 * quad_tol * min(map(abs, total)):
+            total = _gauss(end, lo, hi, np.array(coef), v < np.array(betas)[:, None],
+                           weights, quad_tol).tolist()
         miss = False
         for q, total_q in enumerate(total):
             budget = 0.5 * quad_tol * abs(total_q)

@@ -95,9 +95,10 @@ class TestSubprocessBytes:
         assert proc.stdout == b"2\n"
 
     def test_import_loads_no_scipy(self):
-        # scipy is a test-only dependency: the CLI must start without it
-        code = ("import hypmag.cli, sys; print(any(m == 'scipy' or "
-                "m.startswith('scipy.') for m in sys.modules))")
+        # scipy is a test-only dependency: the CLI must start without it;
+        # numpy.polynomial loads only at the first Gauss-Legendre rule
+        code = ("import hypmag.cli, sys; print(any(m.split('.')[0] == 'scipy' "
+                "or m.startswith('numpy.polynomial') for m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert (proc.returncode, proc.stdout) == (0, b"False\n")
 

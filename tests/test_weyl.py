@@ -125,6 +125,24 @@ class TestWeylIntegral:
         assert len(rules) > 2
         assert got == pytest.approx(math.sinh(60.0), rel=quad_tol)
 
+    @pytest.mark.parametrize("xi", [1e12, -3e11, 0.0])
+    def test_rounding_gate_on_a_large_gauge(self, monkeypatch, xi):
+        # b~ = y: a(t) = xi - t, so each edge rounds the telescoped sum
+        # k |Delta a| by about eps |xi|, which at these xi could pass half
+        # of quad_tol of the integral; Gauss-Legendre then sums the
+        # pieces, and at xi = 0 the telescoped sum stands
+        calls, gauss = [], weyl._gauss
+
+        def spied(*args):
+            calls.append(args[0])
+            return gauss(*args)
+        monkeypatch.setattr(weyl, "_gauss", spied)
+        for lam in (50.0, 400.0):
+            calls.clear()
+            assert weyl_integral(make_cusp([0.0, 1.0], xi=xi), lam) == pytest.approx(
+                cusp_linear_weyl(lam), rel=1e-10)
+            assert len(calls) == (xi != 0.0)
+
     def test_turning_point_inside_one_sample_cell(self):
         # b~ = c (y - 2)^2 + 5 stays below mu only for |t - ln 2| < 7e-5,
         # a sliver at the shared end of the two cells on which b~ is
@@ -265,6 +283,19 @@ class TestOmega:
         with pytest.raises(RuntimeError, match="turning point of b~ was missed"):
             omega(make_funnel([9.0, -6.0, 1.0]), 2.0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("mu", [2.0, 4.9, 30.0, 300.0])
+    def test_double_turning_point(self, mu):
+        # b~ = (cosh t - 3)^3 + 5: b~' has the double root cosh t = 3, which
+        # reaches the cells twice, as a cell of width 0; |b~| < mu for
+        # 3 + cbrt(-mu - 5) < cosh t < 3 + cbrt(mu - 5), and the area of
+        # x_lo < cosh t < x_hi is 2 pi (sinh t_hi - sinh t_lo)
+        end = make_funnel([-22.0, 27.0, -9.0, 1.0])
+        turns = weyl._radii(end, [27.0, -18.0, 3.0])
+        assert np.allclose(turns, [math.acosh(3.0)] * 2, rtol=1e-12)
+        x_lo, x_hi = (max(1.0, 3.0 + float(np.cbrt(s * mu - 5.0))) for s in (-1.0, 1.0))
+        expected = 2.0 * math.pi * (math.sqrt(x_hi ** 2 - 1.0) - math.sqrt(x_lo ** 2 - 1.0))
+        assert omega(end, mu) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("c, rel", [(1e8, 1e-9), (1e10, 1e-7)])
     def test_cancelling_field(self, c, rel):
