@@ -197,8 +197,11 @@ def _emit_csv(rows, header, out_path):
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Eigenvalue counting for magnetic Laplacians "
                                  "on funnel and cusp ends.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each declared once
+    config, end, lam, lambdas = (argparse.ArgumentParser(add_help=False)
+                                 for _ in range(4))
+    config.add_argument("--config", required=True)
+    end.add_argument("--end", type=int, required=True,
+                     help="index into the config's ends list")
+    lam.add_argument("--lambda", dest="lam", type=float, required=True)
+    group = lambdas.add_mutually_exclusive_group(required=True)
+    group.add_argument("--lambdas", help="comma-separated lambda values")
+    group.add_argument("--lambda-geom", help="start,factor,count")
 
     p = sub.add_parser("nlandau",
                        help="Landau counting weight N(mu, b)")
@@ -438,42 +451,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.set_defaults(func=_cmd_sset)
 
-    p = sub.add_parser("count-end",
+    p = sub.add_parser("count-end", parents=[config, end, lam],
                        help="Dirichlet eigenvalue count of one end below lambda")
-    p.add_argument("--config", required=True)
-    p.add_argument("--end", type=int, required=True,
-                   help="index into the config's ends list")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--json", action="store_true",
                    help="print the full result object instead of the count")
     p.set_defaults(func=_cmd_count_end)
 
-    p = sub.add_parser("weyl",
+    p = sub.add_parser("weyl", parents=[config, lam],
                        help="semiclassical counting integral at lambda")
-    p.add_argument("--config", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.set_defaults(func=_cmd_weyl)
 
-    p = sub.add_parser("compare",
+    p = sub.add_parser("compare", parents=[config, lambdas],
                        help="CSV sweep: counts vs integral vs bracket")
-    p.add_argument("--config", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lambdas", help="comma-separated lambda values")
-    group.add_argument("--lambda-geom", help="start,factor,count")
     p.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("fit",
+    p = sub.add_parser("fit", parents=[config, lambdas],
                        help="log-log growth exponent of the count")
-    p.add_argument("--config", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lambdas", help="comma-separated lambda values")
-    group.add_argument("--lambda-geom", help="start,factor,count")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("essential",
+    p = sub.add_parser("essential", parents=[config],
                        help="essential spectrum for constant end fields")
-    p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_essential)
 
     p = sub.add_parser("morse-check",
@@ -483,15 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None, help="LO,HI in log coordinates")
     p.set_defaults(func=_cmd_morse_check)
 
-    p = sub.add_parser("holonomy",
+    p = sub.add_parser("holonomy", parents=[config, end],
                        help="cusp holonomy and integer-class membership")
-    p.add_argument("--config", required=True)
-    p.add_argument("--end", type=int, required=True)
     p.set_defaults(func=_cmd_holonomy)
 
-    p = sub.add_parser("hypcheck",
+    p = sub.add_parser("hypcheck", parents=[config],
                        help="field growth hypotheses on each end")
-    p.add_argument("--config", required=True)
     p.add_argument("--span", type=float, default=12.0,
                    help="grid extent beyond t0")
     p.add_argument("--grid", type=int, default=512,

@@ -363,6 +363,21 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     while not found and hi < 1e9:
         lo, hi = hi, hi * 2.0
         found = excess(hi) <= 0.0
+    # excess is convex in C, so the C that work form one interval, which
+    # the doubling steps over if it lies between two powers of 2: bisect
+    # for the least excess on the sign of its slope -t - 1/C (t where
+    # log g - C t is largest) until a C that works turns up
+    if not found:
+        lo, top = 0.0, hi
+        for _ in range(100):
+            hi = 0.5 * (lo + top)
+            found = excess(hi) <= 0.0
+            if found:
+                break
+            if grid[np.argmax(log_g - hi * grid)] + 1.0 / hi > 0.0:
+                lo = hi
+            else:
+                top = hi
     if not found:
         return GrowthReport(h0=h0, h1_or_h2=False, witness=math.inf)
     for _ in range(80):

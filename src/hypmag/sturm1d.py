@@ -85,11 +85,9 @@ class TridiagonalOperator:
 
     def gershgorin(self) -> tuple[float, float]:
         """Interval holding the spectra of the blocks between +inf rows."""
-        n = self.n
-        radius = np.zeros(n)
-        if n > 1:
-            radius[:-1] += np.abs(self.off)
-            radius[1:] += np.abs(self.off)
+        radius = np.zeros(self.n)
+        radius[:-1] += np.abs(self.off)
+        radius[1:] += np.abs(self.off)
         hi = np.max(self.diag + radius, where=self.diag < np.inf, initial=-np.inf)
         return float(np.min(self.diag - radius)), float(hi)
 

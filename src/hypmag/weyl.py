@@ -13,9 +13,10 @@ Gauss-Legendre sum where the rounding of a, 4e-16 of its size at the end
 of the range per edge, could exceed half of quad_tol.  Near a zero of
 b~, below a cutoff beta, (mu - b)/2 <= N < (mu + b)/2 stands in for the
 levels.  One vectorised loop of Newton steps, each replaced by the
-midpoint where it would leave its bracket, finds every crossing in the
-cells between t0, the turning points of b~ and the end of the range, on
-each of which b~ is monotone.  The bracket for admissible (delta, C)
+midpoint where it would leave its bracket, finds every crossing of b~
+with the signed levels, 0 and each cut with both signs, in the cells
+between t0, the turning points of b~ and the end of the range, on each
+of which b~ is monotone.  The bracket for admissible (delta, C)
 integrates the weights of both bounds by Gauss-Legendre in one pass per
 end: one span, one set of pieces on both bounds' cuts, one evaluation of
 b~ per node.  Also here: the sublevel areas omega, all of them from one
@@ -96,10 +97,11 @@ def _span(end, mu: float):
 
 def _pieces(end, span, cuts):
     """Edges of the pieces of [t0, t_end] where b~ keeps its sign and |b~|
-    crosses no cut, and b~ at their midpoints.  A cell of span is a
-    bracket, or two around a zero of b~; a cut c strictly between a
-    bracket's values of |b~| is the root of the monotone f = (sign b~) b~ - c
-    there.  One loop finds all roots, starting where the chord of f in
+    crosses no cut, and b~ at their midpoints.  The inner edges are the
+    crossings of b~ with the signed levels: 0 and each positive cut with
+    both signs.  On a cell of span, where b~ is monotone, a level y strictly
+    between b~'s values at the cell's ends is crossed once, at the root of
+    f = b~ - y.  One loop finds all roots, starting where the chord of f in
     cosh t (funnel) or e^t (cusp) crosses zero: the root if b~ has degree 1.
     A step moves the bracket end with f's sign to the current point, then
     goes to the Newton point of f (f and its slope from one evaluation,
@@ -112,23 +114,15 @@ def _pieces(end, span, cuts):
     if t.size == 0:
         return t, b
     cuts = np.sort(np.asarray(cuts, dtype=float))
-    v = np.abs(b)
-    flip = np.flatnonzero(b[:-1] * b[1:] < 0.0)
-    cell = np.concatenate([np.arange(t.size - 1), flip])
-    sign = np.concatenate([np.sign(b[:-1] + b[1:]), np.sign(b[flip + 1])])
-    m = np.concatenate([np.minimum(v[:-1], v[1:]), np.zeros(flip.size)])
-    M = np.concatenate([np.maximum(v[:-1], v[1:]), v[flip + 1]])
-    sign[flip], m[flip], M[flip] = np.sign(b[flip]), 0.0, v[flip]
-    first = np.searchsorted(cuts, m, side="right")
-    count = np.maximum(np.searchsorted(cuts, M, side="left") - first, 0)
-    j = np.repeat(np.arange(count.size), count)
-    c = cuts[first[j] + np.arange(j.size)
-             - np.repeat(np.cumsum(count) - count, count)]
-    cell = np.concatenate([cell[j], flip])
-    s = np.concatenate([sign[j], np.ones(flip.size)])
-    c = np.concatenate([c, np.zeros(flip.size)])
+    y = cuts[cuts > 0.0]
+    y = np.concatenate([-y[::-1], [0.0], y])
+    first = np.searchsorted(y, np.minimum(b[:-1], b[1:]), side="right")
+    count = np.maximum(np.searchsorted(y, np.maximum(b[:-1], b[1:]), side="left") - first, 0)
+    cell = np.repeat(np.arange(count.size), count)
+    # the level of each root; rebinding y frees the level array before the loop
+    y = y[first[cell] + np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count)]
     lo, hi = t[cell], t[cell + 1]
-    f_lo, f_hi = s * b[cell] - c, s * b[cell + 1] - c
+    f_lo, f_hi = b[cell] - y, b[cell + 1] - y
     neg = f_lo < 0.0
     X, T = (np.cosh, np.arccosh) if isinstance(end, FunnelEnd) else (np.exp, np.log)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -137,8 +131,8 @@ def _pieces(end, span, cuts):
         while x.size:
             # f and newton hold b~ and its slope first
             f, newton = end.field.profile_and_dt(x)
-            f = s * f - c
-            newton = x - f / (s * newton)
+            f = f - y
+            newton = x - f / newton
             right = (f < 0.0) == neg
             lo, hi = np.where(right, x, lo), np.where(right, hi, x)
             mid = 0.5 * (lo + hi)

@@ -15,7 +15,8 @@ import pytest
 
 from conftest import (cusp_linear_end, funnel_cosh_end, run_cli, run_main,
                       write_config)
-from hypmag.cli import ConfigError, _parse_lambdas, load_config, parse_config
+from hypmag.cli import (ConfigError, _parse_lambdas, build_parser, load_config,
+                        parse_config)
 
 TWO_FUNNELS = [
     {"type": "funnel", "tau": 1.0, "t0": 0.0, "xi": 0.0,
@@ -201,6 +202,61 @@ class TestCompare:
         assert (rc, out, err) == (0, "", "")
         assert dest.read_bytes() == COMPARE_CSV.encode()
         assert_weyl_column(dest.read_text())
+
+
+    def test_out_unwritable(self, capsys, tmp_path, cusp_cfg):
+        dest = tmp_path / "missing" / "sweep.csv"
+        rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,
+                                "--lambdas", "50", "--out", str(dest))
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: --out: cannot write {dest}: ")
+        assert err.count("\n") == 1
+
+
+# the option strings of each subcommand besides -h, in help order; * marks
+# a required one
+FLAGS = {
+    "nlandau": ["--mu*", "--b*"],
+    "sset": ["--beta*"],
+    "count-end": ["--config*", "--end*", "--lambda*", "--json"],
+    "weyl": ["--config*", "--lambda*"],
+    "compare": ["--config*", "--lambdas", "--lambda-geom", "--out"],
+    "fit": ["--config*", "--lambdas", "--lambda-geom"],
+    "essential": ["--config*"],
+    "morse-check": ["--beta*", "--grid", "--window"],
+    "holonomy": ["--config*", "--end*"],
+    "hypcheck": ["--config*", "--span", "--grid"],
+}
+
+
+class TestFlagTable:
+    @staticmethod
+    def _subcommands():
+        parser = build_parser()
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_flags_of_each_subcommand(self):
+        subcommands = self._subcommands()
+        assert list(subcommands) == list(FLAGS)
+        for name, p in subcommands.items():
+            flags = [opt + "*" * a.required for a in p._actions
+                     for opt in a.option_strings if opt not in ("-h", "--help")]
+            assert flags == FLAGS[name], name
+            groups = [([a.option_strings for a in g._group_actions], g.required)
+                      for g in p._mutually_exclusive_groups]
+            pair = [([["--lambdas"], ["--lambda-geom"]], True)]
+            assert groups == (pair if name in ("compare", "fit") else []), name
+
+    @pytest.mark.parametrize("name", FLAGS)
+    def test_help_exits_zero(self, capsys, name):
+        with pytest.raises(SystemExit) as info:
+            run_main(capsys, name, "--help")
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: hypmag {name} ")
+        if name in ("count-end", "holonomy"):
+            assert "index into the config's ends list" in out
 
 
 class TestEmptyEnd:

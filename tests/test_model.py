@@ -338,6 +338,48 @@ class TestGrowthHypotheses:
         assert np.all(g <= C * np.exp(C * grid))
         assert not np.all(g <= 0.999 * C * np.exp(0.999 * C * grid))
 
+    @staticmethod
+    def _works(end, grid, C):
+        """For each C, whether g <= C e^{C t} on grid, to rounding."""
+        b, db = end.field.profile_and_dt(grid)
+        C = np.asarray(C, dtype=float)[..., None]
+        with np.errstate(over="ignore"):
+            bound = C * np.exp(C * grid) * (1.0 + 1e-12)
+        return np.all(np.abs(db) / (np.abs(b) + 1.0) <= bound, axis=-1)
+
+    # every C in about [2.883, 3.828] works on its grid from t0 = -0.3, and
+    # neither 2 nor 4 does, so doubling C alone finds none
+    BETWEEN = make_cusp([-1.2140021558657597, 1.6387315025116513], t0=-0.3)
+
+    def test_cusp_witness_between_powers_of_two(self):
+        end, grid = self.BETWEEN, np.linspace(-0.3, 11.7, 512)
+        assert not self._works(end, grid, 2.0 ** np.arange(31)).any()
+        rep = check_growth_hypotheses(end, grid)
+        assert rep.h1_or_h2 and rep.witness == pytest.approx(2.883, abs=1e-3)
+        assert self._works(end, grid, rep.witness)
+        assert not self._works(end, grid, rep.witness * (1.0 - 1e-9))
+
+    def test_cusp_witness_against_a_scan(self):
+        # BETWEEN and random cusps from t0 < 0, against a scan of C in
+        # ratios of 1.01: a witness is found wherever the scan finds a C
+        # that works, it works, and no scanned C below it does
+        rng = np.random.default_rng(27)
+        scan = np.geomspace(1e-3, 1e3, 1389)
+        ends = [self.BETWEEN] + [
+            make_cusp(rng.uniform(-5.0, 5.0, rng.integers(2, 6)),
+                      t0=rng.uniform(-4.0, 0.0)) for _ in range(100)]
+        between = 0
+        for end in ends:
+            grid = np.linspace(end.t0, end.t0 + 12.0, 512)
+            works = scan[self._works(end, grid, scan)]
+            rep = check_growth_hypotheses(end, grid)
+            assert rep.h1_or_h2 or works.size == 0
+            if rep.h1_or_h2:
+                assert self._works(end, grid, rep.witness)
+                assert works.size == 0 or rep.witness <= works[0]
+                between += not self._works(end, grid, 2.0 ** np.arange(31)).any()
+        assert between > 1
+
     def test_constant_field_fails_h0(self):
         end = make_cusp([3.0])
         rep = check_growth_hypotheses(end, np.linspace(0.0, 8.0, 100))

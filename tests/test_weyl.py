@@ -216,6 +216,24 @@ class TestWeylIntegral:
                 WeylOptions(quad_tol=bad)
 
 
+def count_evaluations(monkeypatch) -> list[int]:
+    """The number of points of each evaluation of b~ in weyl, in order, with
+    or without its slope."""
+    sizes, evaluate = [], weyl.eval_field
+    with_slope = RadialField.profile_and_dt
+
+    def counted(end, t):
+        sizes.append(np.size(t))
+        return evaluate(end, t)
+
+    def counted_with_slope(field, t):
+        sizes.append(np.size(t))
+        return with_slope(field, t)
+    monkeypatch.setattr(weyl, "eval_field", counted)
+    monkeypatch.setattr(RadialField, "profile_and_dt", counted_with_slope)
+    return sizes
+
+
 class TestOmega:
     def test_funnel_cosh_closed_form(self):
         for tau in (0.1, 0.5, 0.9):
@@ -250,18 +268,7 @@ class TestOmega:
         # crossing: one evaluation on the cell ends t0 and t_end, one Newton
         # round that moves nothing (b~ and its slope in one evaluation),
         # three points inside each of the two pieces
-        sizes, evaluate = [], weyl.eval_field
-        with_slope = RadialField.profile_and_dt
-
-        def counted(end, t):
-            sizes.append(np.size(t))
-            return evaluate(end, t)
-
-        def counted_with_slope(field, t):
-            sizes.append(np.size(t))
-            return with_slope(field, t)
-        monkeypatch.setattr(weyl, "eval_field", counted)
-        monkeypatch.setattr(RadialField, "profile_and_dt", counted_with_slope)
+        sizes = count_evaluations(monkeypatch)
         for end in (make_funnel([0.0, 1.0]), make_cusp([0.0, 1.0])):
             for mu in (10.0, 1000.0):
                 sizes.clear()
@@ -319,6 +326,39 @@ class TestOmega:
         # y = 3 is a crossing of the cut 0 inside the region
         expected = 2.0 * math.pi * (1.0 / max(1.0, 3.0 - mu) - 1.0 / (3.0 + mu))
         assert omega(make_cusp([-3.0, 1.0]), mu) == pytest.approx(expected, rel=1e-14)
+
+    def test_cuts_at_or_below_zero_add_no_level(self, monkeypatch):
+        # the levels are the positive cuts, their negatives and 0; the
+        # sublevel area of a cut <= 0 is empty, and the same roots are sought
+        end = make_funnel([-2.0, 1.0])
+        sizes = count_evaluations(monkeypatch)
+        expected = omega(end, 5.0)
+        plain = sizes.copy()
+        sizes.clear()
+        assert weyl._omegas(end, [-1.0, 0.0, 5.0]) == [0.0, 0.0, expected]
+        assert sizes == plain
+
+    def test_cut_at_a_cell_end_is_no_crossing(self, monkeypatch):
+        # cosh t from t0 = 0 starts at the cut 1; b~ = (y - 2)^2 + 5 starts
+        # at 6 and turns at the cut 5, with |b~| < mu for |y - 2| < r =
+        # sqrt(mu - 5).  At the cuts 1 and 5 b~ is evaluated on the cell
+        # ends and inside one piece: no root is sought; at the cut 6 one
+        # root is, at y = 3
+        funnel, cusp = make_funnel([0.0, 1.0]), make_cusp([9.0, -4.0, 1.0])
+        sizes = count_evaluations(monkeypatch)
+        for end, mu, cells in ((funnel, 1.0, 2), (cusp, 5.0, 3)):
+            sizes.clear()
+            assert omega(end, mu) == 0.0
+            assert sizes == [cells, 3]
+        sizes.clear()
+        assert omega(cusp, 6.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert sizes[:2] == [3, 1]
+        mu = 1.0 + 1e-9
+        assert omega(funnel, mu) == pytest.approx(
+            2.0 * math.pi * math.sqrt((mu - 1.0) * (mu + 1.0)), rel=1e-9)
+        r = math.sqrt(1e-6)
+        assert omega(cusp, 5.0 + 1e-6) == pytest.approx(
+            2.0 * math.pi * 2.0 * r / (4.0 - r * r), rel=1e-9)
 
     def test_far_reach_is_refused_before_the_floor(self):
         # b~ = e^-250 y reaches mu + 1 only past t0 + 200; that is refused
