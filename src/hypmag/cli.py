@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -190,6 +191,22 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
+def _check_out(out_path):
+    """Refuse an --out that is a directory or lies in no directory, before
+    any computation; the check creates and truncates nothing, and
+    _emit_csv still names an OSError of the write itself."""
+    if out_path in (None, "-"):
+        return
+    parent = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        why = "it is a directory"
+    elif not os.path.isdir(parent):
+        why = f"no directory {parent}"
+    else:
+        return
+    raise ConfigError(f"--out: cannot write {out_path}: {why}")
+
+
 def _emit_csv(rows, header, out_path):
     text = "\r\n".join([",".join(header)]
                        + [",".join(_csv_cell(c) for c in row) for row in rows])
@@ -309,6 +326,7 @@ def _cmd_weyl(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(args.config)
     lams = _parse_lambdas(args)
+    _check_out(args.out)
     surface = cfg.surface
     wopts = cfg.weyl_options
     rows = []

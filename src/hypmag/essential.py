@@ -30,6 +30,9 @@ from .sturm1d import count_below, discretize, lowest_eigenvalues
 
 # tolerance for deciding that a limiting gauge value is an integer
 INTEGER_TOL = 1e-9
+# MorseOptions refuses more interior points: morse_check builds that
+# grid and one about twice its size for the doubled window
+_MAX_MORSE_N = 1 << 20
 
 
 def _constant_value(end) -> float:
@@ -111,7 +114,8 @@ _WINDOW_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MorseOptions:
-    """Log-coordinate window (s_lo, s_hi) and interior point count n."""
+    """Log-coordinate window (s_lo, s_hi) and interior point count n
+    (16 to 2^20)."""
 
     s_lo: float = -20.0
     s_hi: float = 4.0
@@ -126,6 +130,9 @@ class MorseOptions:
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 16:
             raise ValueError("need at least 16 interior points")
+        if self.n > _MAX_MORSE_N:
+            raise ValueError(
+                f"need at most {_MAX_MORSE_N} interior points, got {self.n}")
 
 
 @dataclass(frozen=True)

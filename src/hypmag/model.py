@@ -327,7 +327,10 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     evaluated on the supplied grid; the witness is the smallest C that
     works there (for the cusp the same C scales the bound and sits in
     the exponent, so the witness solves a scalar fixed-point problem).
-    A grid on which b~ or b~' overflows is a DomainError.
+    The cusp witness comes from one bisection of (0, 2^30] down to two
+    adjacent floats, so it is the least C on the grid in float precision;
+    a cusp on which no C up to 2^30 works has h1_or_h2 False and witness
+    inf.  A grid on which b~ or b~' overflows is a DomainError.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -355,35 +358,23 @@ def check_growth_hypotheses(end, grid) -> GrowthReport:
     with np.errstate(divide="ignore"):
         log_g = np.log(g)
 
-    def excess(C: float) -> float:
-        return float(np.max(log_g - C * grid)) - math.log(C)
+    # excess(C) = max(log g - C t) - log C is convex, with slope -t - 1/C
+    # at the t of the max, so the C that work form one interval, and "C
+    # works, or excess does not fall at C" is false below its least C and
+    # true from it on (from the least excess on when no C works): bisect
+    # (0, 2^30] on it until the midpoint rounds to an end
+    def excess(C: float):
+        r = log_g - C * grid
+        k = int(np.argmax(r))
+        return float(r[k]) - math.log(C), grid[k]
 
-    lo, hi = 0.0, 1.0
-    found = excess(hi) <= 0.0
-    while not found and hi < 1e9:
-        lo, hi = hi, hi * 2.0
-        found = excess(hi) <= 0.0
-    # excess is convex in C, so the C that work form one interval, which
-    # the doubling steps over if it lies between two powers of 2: bisect
-    # for the least excess on the sign of its slope -t - 1/C (t where
-    # log g - C t is largest) until a C that works turns up
-    if not found:
-        lo, top = 0.0, hi
-        for _ in range(100):
-            hi = 0.5 * (lo + top)
-            found = excess(hi) <= 0.0
-            if found:
-                break
-            if grid[np.argmax(log_g - hi * grid)] + 1.0 / hi > 0.0:
-                lo = hi
-            else:
-                top = hi
-    if not found:
-        return GrowthReport(h0=h0, h1_or_h2=False, witness=math.inf)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0.0:
+    lo, hi = 0.0, 2.0 ** 30
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        e, t = excess(mid)
+        if e <= 0.0 or t + 1.0 / mid <= 0.0:
             hi = mid
         else:
             lo = mid
+    if excess(hi)[0] > 0.0:
+        return GrowthReport(h0=h0, h1_or_h2=False, witness=math.inf)
     return GrowthReport(h0=h0, h1_or_h2=True, witness=hi)

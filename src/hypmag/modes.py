@@ -42,6 +42,10 @@ Anderssen, Computing 26, 1981), so a mode whose two counts agree has no
 eigenvalue that the grid moves across lambda and is decided; the others
 are counted again on the doubled grid.  a, w and q are evaluated once per
 grid, on its points t0 + h k; the window reads the first grid's too.
+
+No grid of more than _MAX_ROWS interior points is built: past it a first
+grid leaves the end uncounted, and a doubled grid leaves its undecided
+modes unconverged.
 """
 
 from __future__ import annotations
@@ -78,10 +82,11 @@ _N0_MIN = 48
 _POINTS_PER_WAVELENGTH = 36.0
 
 
-# a window of more than _MAX_MODES modes is not swept, and a mode still
-# undecided on the last of _MAX_REFINEMENTS grids is reported with
-# converged=False
+# a window of more than _MAX_MODES modes is not swept, no grid of more
+# than _MAX_ROWS interior points is built, and a mode still undecided on
+# the last grid (at most _MAX_REFINEMENTS) is reported with converged=False
 _MAX_MODES = 200000
+_MAX_ROWS = 1 << 21
 _MAX_REFINEMENTS = 8
 
 
@@ -194,11 +199,14 @@ def _grid(end, t_hi: float, n: int):
 
 
 def _first_grid(end, lam, t_max):
-    """(lam, wall, n, _grid, _window) of the first shared grid of an end.
+    """(lam, wall, n, _grid, _window, refusal) of the first shared grid of
+    an end.
 
     The wall is t_max (finite, past t0) or the last crossing of the module
     docstring; n gives _POINTS_PER_WAVELENGTH points per shortest local
     wavelength.  lam <= 1/4 leaves the empty window (0, -1), no grid, wall t0.
+    refusal is None, or why the end is not swept: n over _MAX_ROWS (no
+    grid, window (0, -1)) or a window over _MAX_MODES modes.
     """
     lam, t0 = finite("lam", lam), float(end.t0)
     if not end.field.unbounded:
@@ -210,7 +218,7 @@ def _first_grid(end, lam, t_max):
         if not (math.isfinite(t_max) and t_max > t0):
             raise ValueError(f"t_max={t_max} must be finite and exceed t0={t0}")
     if lam <= 0.25:
-        return lam, t0, 0, None, (0, -1)
+        return lam, t0, 0, None, (0, -1), None
     if t_max is None:
         # rounded out to t0 + 0.5 k + 0.25, the least k >= 1 with t0 + 0.5 k
         # past the crossing: this lattice keeps every grid, n and t_hi that
@@ -219,8 +227,13 @@ def _first_grid(end, lam, t_max):
         t_max = t0 + 0.5 * max(1, math.ceil((reach - t0) / 0.5)) + 0.25
     per_unit = math.sqrt(lam) * _POINTS_PER_WAVELENGTH / (2.0 * math.pi)
     n = max(_N0_MIN, int((t_max - t0) * per_unit) + 1)
+    if n > _MAX_ROWS:
+        return lam, t_max, n, None, (0, -1), f"the first grid holds {n} rows"
     grid = _grid(end, t_max, n)
-    return lam, t_max, n, grid, _window(end, lam, *grid[1:])
+    base, top = _window(end, lam, *grid[1:])
+    refusal = (f"the mode window holds {top - base + 1} modes"
+               if top - base + 1 > _MAX_MODES else None)
+    return lam, t_max, n, grid, (base, top), refusal
 
 
 def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
@@ -230,11 +243,12 @@ def mode_window(end, lam: float, t_max: float | None = None) -> np.ndarray:
     Every mode outside it has, for some theta and s, q + s theta W' +
     (1 - theta) W^2 >= lambda on every sample of [t0, t_max] (see the
     module docstring), so no eigenvalue below lam.  A window of more than
-    _MAX_MODES modes, which count_end declines too, is refused.
+    _MAX_MODES modes, or an end whose first grid would hold more than
+    _MAX_ROWS interior points, which count_end declines too, is refused.
     """
-    base, top = _first_grid(end, lam, t_max)[-1]
-    if top - base + 1 > _MAX_MODES:
-        raise ValueError(f"the mode window holds {top - base + 1} modes")
+    *_, (base, top), refusal = _first_grid(end, lam, t_max)
+    if refusal:
+        raise ValueError(refusal)
     return np.arange(base, top + 1, dtype=np.int64)
 
 
@@ -248,12 +262,14 @@ def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
     smallest interval holding every mode with an eigenvalue below lam
     (None when no mode contributes).  The modes swept are the interval
     mode_window returns.  converged is False when a mode is still
-    undecided on the last of _MAX_REFINEMENTS grids, or when the window
-    held more than _MAX_MODES modes; the window is then not swept and the
-    count is 0.
+    undecided on the last grid: the last of _MAX_REFINEMENTS, or the last
+    of at most _MAX_ROWS interior points (the doubled one is not built).
+    It is also False, with count 0, when the first grid would hold more
+    than _MAX_ROWS interior points, which is then not built, or the
+    window more than _MAX_MODES modes, which is then not swept.
     """
-    lam, t_max, n, grid, (base, top) = _first_grid(end, lam, t_max)
-    if top - base + 1 > _MAX_MODES:
+    lam, t_max, n, grid, (base, top), refusal = _first_grid(end, lam, t_max)
+    if refusal:
         return CountResult(count=0, lam=lam, n=n, t_hi=t_max, converged=False)
     ells = np.arange(base, top + 1, dtype=np.int64)
     counts = np.zeros(ells.size, dtype=np.int64)
@@ -262,6 +278,8 @@ def count_end(end, lam: float, t_max: float | None = None) -> CountResult:
         if active.size == 0:
             break
         if sweep:
+            if 2 * n > _MAX_ROWS:
+                break
             n *= 2
             grid = _grid(end, t_max, n)
         h, _, coeffs = grid

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (cusp_linear_end, funnel_cosh_end, run_cli, run_main,
                       write_config)
+from hypmag import cli
 from hypmag.cli import (ConfigError, _parse_lambdas, build_parser, load_config,
                         parse_config)
 
@@ -211,6 +212,35 @@ class TestCompare:
         assert (rc, out) == (1, "")
         assert err.startswith(f"error: --out: cannot write {dest}: ")
         assert err.count("\n") == 1
+
+    def test_out_refused_before_the_sweep(self, capsys, tmp_path, cusp_cfg,
+                                          monkeypatch):
+        # a missing directory or a directory path is refused before any
+        # count, and nothing is created there
+        def no_count(*args):
+            raise AssertionError("count_end ran")
+        monkeypatch.setattr(cli, "count_end", no_count)
+        for dest, why in ((tmp_path / "missing" / "t.csv",
+                           f"no directory {tmp_path / 'missing'}"),
+                          (tmp_path, "it is a directory")):
+            rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,
+                                    "--lambdas", "50", "--out", str(dest))
+            assert (rc, out) == (1, "")
+            assert err == f"error: --out: cannot write {dest}: {why}\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_out_kept_when_the_sweep_fails(self, capsys, tmp_path, cusp_cfg,
+                                           monkeypatch):
+        dest = tmp_path / "sweep.csv"
+        dest.write_bytes(b"old bytes\r\n")
+
+        def failing_count(*args):
+            raise ValueError("sweep failed")
+        monkeypatch.setattr(cli, "count_end", failing_count)
+        rc, out, err = run_main(capsys, "compare", "--config", cusp_cfg,
+                                "--lambdas", "50", "--out", str(dest))
+        assert (rc, out, err) == (1, "", "error: sweep failed\n")
+        assert dest.read_bytes() == b"old bytes\r\n"
 
 
 # the option strings of each subcommand besides -h, in help order; * marks
@@ -438,6 +468,11 @@ class TestErrorPaths:
                                 "--grid", "3")
         assert (rc, out) == (1, "")
         assert err.startswith("error: --window/--grid: need at least 16")
+        rc, out, err = run_main(capsys, "morse-check", "--beta", "2.5",
+                                "--grid", str(2 ** 20 + 1))
+        assert (rc, out) == (1, "")
+        assert err == ("error: --window/--grid: need at most 1048576 "
+                       "interior points, got 1048577\n")
         rc, out, err = run_main(capsys, "morse-check", "--beta", "2.5",
                                 "--grid", "2000")
         assert (rc, err) == (0, "")

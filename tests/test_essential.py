@@ -162,6 +162,11 @@ class TestMorseCheck:
             with pytest.raises(ValueError, match="n must be an integer"):
                 MorseOptions(n=bad)
         assert MorseOptions(n=np.int64(2000)).n == 2000
+        # morse_check would build this grid and one of about twice the size
+        assert MorseOptions(n=2 ** 20).n == 2 ** 20
+        for big in (2 ** 20 + 1, 10 ** 10):
+            with pytest.raises(ValueError, match="at most 1048576 interior"):
+                MorseOptions(n=big)
 
 
 class TestFunnelModeLimit:

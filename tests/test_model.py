@@ -328,7 +328,7 @@ class TestGrowthHypotheses:
 
     def test_cusp_witness_found_by_doubling(self):
         # g = 4 y^4 / (y^4 + 1) is 2 at t0 = 0, so C = 1 fails and the
-        # search doubles; the witness is the smallest C on the grid
+        # witness lies above 1; it is the smallest C on the grid
         grid = np.linspace(0.0, 12.0, 512)
         rep = check_growth_hypotheses(make_cusp([0.0, 0.0, 0.0, 0.0, 1.0]), grid)
         assert rep.h1_or_h2 and rep.witness > 1.0
@@ -379,6 +379,25 @@ class TestGrowthHypotheses:
                 assert works.size == 0 or rep.witness <= works[0]
                 between += not self._works(end, grid, 2.0 ** np.arange(31)).any()
         assert between > 1
+
+    def test_cusp_witness_below_two_to_the_minus_80(self):
+        # g is about 1e-30 y, largest at t = 12 where it is 1.63e-25, so
+        # the least C lies far below 2^-80 and the search still finds it
+        end, grid = make_cusp([1e10, 1e-20]), np.linspace(0.0, 12.0, 512)
+        rep = check_growth_hypotheses(end, grid)
+        assert rep.h1_or_h2 and rep.witness < 2.0 ** -82
+        assert self._works(end, grid, rep.witness)
+        assert not self._works(end, grid, rep.witness * (1.0 - 1e-9))
+
+    def test_cusp_witness_past_the_search_range(self):
+        # g = 1e10 at t0 = 0, where b~ = 1e10 (y - 1) vanishes: C needs
+        # to reach 1e10, past the 2^30 the search covers, so no witness
+        end, grid = make_cusp([-1e10, 1e10]), np.linspace(0.0, 12.0, 512)
+        with np.errstate(over="ignore"):
+            assert self._works(end, grid, 1e10)
+        assert not self._works(end, grid, 2.0 ** 30)
+        rep = check_growth_hypotheses(end, grid)
+        assert rep.h0 and not rep.h1_or_h2 and rep.witness == math.inf
 
     def test_constant_field_fails_h0(self):
         end = make_cusp([3.0])

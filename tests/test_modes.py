@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import sys
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -494,6 +496,38 @@ class TestModeWindow:
         monkeypatch.setattr(modes, "_MAX_MODES", width)
         assert mode_window(end, 50.0).size == width
 
+    def test_first_grid_over_max_rows_is_not_built(self, monkeypatch):
+        # one interior point over the cap: no grid (building one would
+        # call None), no sweep, count 0, and mode_window refuses the end as
+        # for a window over _MAX_MODES
+        end = make_cusp([0.0, 1.0])
+        n = modes._first_grid(end, 1600.0, None)[2]
+        monkeypatch.setattr(modes, "_MAX_ROWS", n - 1)
+        monkeypatch.setattr(modes, "_grid", None)
+        res = count_end(end, 1600.0)
+        assert (res.count, res.n, res.mode_range, res.converged) == (
+            0, n, None, False)
+        with pytest.raises(ValueError, match=f"first grid holds {n} rows"):
+            mode_window(end, 1600.0)
+
+    def test_huge_lambda_is_refused_before_the_grid(self):
+        # cosh [0, 1] at lambda 1e12 would need a first grid of 173 million
+        # points (about 11 GB); it is declined at once, in little memory
+        end = make_funnel([0.0, 1.0])
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            res = count_end(end, 1e12)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.count, res.converged, res.mode_range) == (0, False, None)
+        assert res.n > modes._MAX_ROWS
+        assert elapsed < 1.0 and peak < 10e6
+        with pytest.raises(ValueError, match=f"grid holds {res.n} rows"):
+            mode_window(end, 1e12)
+
     def test_unsettled_mode_is_not_converged(self, monkeypatch):
         # a mode whose counts at lambda and lambda - delta_h still differ
         # on the last grid leaves the result unconverged, and its count at
@@ -512,6 +546,11 @@ class TestModeWindow:
                             np.full(t.size, 0.25), h, mode_window(end, 1600.0),
                             1600.0)
         assert res.count == first.sum() > 776
+        # a cap on rows between the first grid and its double stops the
+        # sweep at the same grid: the doubled one is not built
+        monkeypatch.undo()
+        monkeypatch.setattr(modes, "_MAX_ROWS", 2 * res.n - 1)
+        assert count_end(end, 1600.0) == res
 
 
 # The count slots of the benchmark's funnel-scan and cusp-ladder workloads,
